@@ -28,7 +28,6 @@ from .riemann import fan_state, rarefaction_state, sample, sample_many, solve_ri
 from .boundary import (
     CaseLabel,
     QuarterPlaneSolution,
-    boundary_trace,
     in_admissible_set,
     on_curve_solution,
     scan_admissible_set,

@@ -3,32 +3,36 @@
 The solution of the problem with constant boundary data (x = 0) and
 constant initial data (t = 0) is the two-state solution with the boundary
 state on the left, restricted to x >= 0.  The case label records which
-part of the wave structure is visible there; it is decided by the signs
-of the wave speeds of the constructed structure:
+part of the wave structure is visible there.  It is fixed by the region
+of the initial state and by the number of wave edges with speed > 0: a
+shock has one edge (its speed), a fan two (xi_lo and xi_hi).
 
-    region          waves            sub-cases (speed signs)
+    region          waves            sub-case: edges with speed > 0
     -----------------------------------------------------------------
-    on R1 curve     1-fan            1a: both edges > 0
-                                     1b: both edges < 0
-                                     1c: edges straddle 0
-    on R2 curve     2-fan            2a / 2b / 2c  (same splits)
-    on S1 curve     1-shock          3a: speed > 0,  3b: speed < 0
-    on S2 curve     2-shock          4a / 4b
-    Gamma1          1-fan + 2-fan    5a: all visible, 5b: none,
-                                     5c-i/ii/iii: left edge hidden,
-                                     split by the middle fan edges
-    Gamma2          1-shock + 2-fan  6a: shock visible, 6b: none,
-                                     6c-i/ii: shock hidden, split by
-                                     the inner fan edge
-    Gamma3          1-shock+2-shock  7a: both visible, 7b: none,
-                                     7c: only the 2-shock
-    Gamma4          1-fan + 2-shock  8a / 8b / 8c-i/ii (mirror of 6)
+    coincident      none             constant
+    on R1 curve     1-fan            1b: 0, 1c: 1 (fan clipped), 1a: 2
+    on R2 curve     2-fan            2b / 2c / 2a  (same counts)
+    on S1 curve     1-shock          3b: 0, 3a: 1
+    on S2 curve     2-shock          4b / 4a
+    Gamma1          1-fan + 2-fan    5b: 0, 5c-iii: 1 (2-fan clipped),
+                                     5c-ii: 2 (middle state at x = 0),
+                                     5c-i: 3 (1-fan clipped), 5a: 4
+    Gamma2          1-shock + 2-fan  6b: 0, 6c-ii: 1 (2-fan clipped),
+                                     6c-i: 2 (middle state at x = 0), 6a: 3
+    Gamma3          1-shock+2-shock  7b: 0, 7c: 1, 7a: 2
+    Gamma4          1-fan + 2-shock  8b: 0, 8c-ii: 1 (middle state at x = 0),
+                                     8c-i: 2 (1-fan clipped), 8a: 3
 
-A tie (some wave speed equal to zero within tolerance) gets the label
-SONIC; the tie is resolved as if the tied speed were negative, which is
-exactly what right-continuous sampling at xi = 0 produces, and the
-resolved concrete case is reported alongside.  Coincident data is
-CONSTANT.
+The count takes the exact sign, so a speed of exactly zero counts as
+nonpositive, which is what right-continuous sampling at xi = 0 does: the
+sub-case always names the piece of the structure the trace comes from.
+A speed within tolerance of zero (a sonic tie) sets the label SONIC, and
+the sub-case is reported alongside as the resolved case.  The labels
+describe ordered structures only; when the waves overlap
+(``verify.waves_ordered`` fails) they carry no meaning.  The visible
+waves keep one convention of their own: a standing shock (speed exactly
+zero) is listed, although sampling at xi = 0 already returns its right
+flank.
 
 The boundary value is attained only in the weak sense: the trace
 (the limit of the solution as x -> 0+) ranges over the set of states
@@ -52,13 +56,12 @@ from .curves import (
     classification_scale,
     classify,
 )
-from .riemann import fan_state, sample, solve_riemann, speed_support
+from .riemann import _structure, fan_state, sample
 
 __all__ = [
     "CaseLabel",
     "QuarterPlaneSolution",
     "solve_ibvp",
-    "boundary_trace",
     "in_admissible_set",
     "scan_admissible_set",
     "on_curve_solution",
@@ -104,8 +107,8 @@ class QuarterPlaneSolution:
     right-continuous value at xi = 0 (the attained boundary value), and
     ``visible_waves`` the waves that reach into x > 0: shocks with
     nonnegative speed, fans clipped to nonnegative speeds.  ``case`` is
-    SONIC when a wave speed ties zero; ``resolved_case`` always names the
-    concrete sub-case the restriction coincides with.
+    SONIC when a wave speed is within tolerance of zero; ``resolved_case``
+    always names the concrete sub-case, counted from the exact signs.
     """
 
     structure: WaveStructure
@@ -118,81 +121,36 @@ class QuarterPlaneSolution:
     params: Params
 
 
-def _resolved_sign(value: float, cut: float) -> int:
-    # ties count as negative: right-continuity hands xi = 0 to the state
-    # on the right of a zero-speed breakpoint
-    return 1 if value > cut else -1
+# Sub-cases of each region, indexed by the number of wave edges with
+# speed > 0 (a shock has one edge, a fan two).
+_SUBCASES: dict[RegionLabel, tuple[CaseLabel, ...]] = {
+    RegionLabel.COINCIDENT: (CaseLabel.CONSTANT,),
+    RegionLabel.ON_R1: (CaseLabel.C1B, CaseLabel.C1C, CaseLabel.C1A),
+    RegionLabel.ON_R2: (CaseLabel.C2B, CaseLabel.C2C, CaseLabel.C2A),
+    RegionLabel.ON_S1: (CaseLabel.C3B, CaseLabel.C3A),
+    RegionLabel.ON_S2: (CaseLabel.C4B, CaseLabel.C4A),
+    RegionLabel.GAMMA1: (
+        CaseLabel.C5B, CaseLabel.C5C_III, CaseLabel.C5C_II, CaseLabel.C5C_I, CaseLabel.C5A
+    ),
+    RegionLabel.GAMMA2: (CaseLabel.C6B, CaseLabel.C6C_II, CaseLabel.C6C_I, CaseLabel.C6A),
+    RegionLabel.GAMMA3: (CaseLabel.C7B, CaseLabel.C7C, CaseLabel.C7A),
+    RegionLabel.GAMMA4: (CaseLabel.C8B, CaseLabel.C8C_II, CaseLabel.C8C_I, CaseLabel.C8A),
+}
 
 
 def _case_labels(
     ws: WaveStructure, region: RegionLabel, p: Params, tol: float
 ) -> tuple[CaseLabel, CaseLabel]:
-    if region is RegionLabel.COINCIDENT:
-        return CaseLabel.CONSTANT, CaseLabel.CONSTANT
-
+    edges = [
+        v
+        for w in ws.waves
+        for v in ((w.speed,) if isinstance(w, Shock) else (w.xi_lo, w.xi_hi))
+    ]
+    resolved = _SUBCASES[region][sum(v > 0.0 for v in edges)]
     cut = tol * max(
         1.0, p.k, abs(ws.left.u), abs(ws.middle.u), abs(ws.right.u)
     )
-    speeds: list[float] = []
-    for w in ws.waves:
-        speeds.extend(speed_support(w))
-    sonic = any(abs(v) <= cut for v in speeds)
-
-    def pos(value: float) -> bool:
-        return _resolved_sign(value, cut) > 0
-
-    w1, w2 = ws.wave1, ws.wave2
-    if region is RegionLabel.ON_R1:
-        lo, hi = speed_support(w1)
-        resolved = CaseLabel.C1A if pos(lo) else (CaseLabel.C1C if pos(hi) else CaseLabel.C1B)
-    elif region is RegionLabel.ON_R2:
-        lo, hi = speed_support(w2)
-        resolved = CaseLabel.C2A if pos(lo) else (CaseLabel.C2C if pos(hi) else CaseLabel.C2B)
-    elif region is RegionLabel.ON_S1:
-        resolved = CaseLabel.C3A if pos(w1.speed) else CaseLabel.C3B
-    elif region is RegionLabel.ON_S2:
-        resolved = CaseLabel.C4A if pos(w2.speed) else CaseLabel.C4B
-    elif region is RegionLabel.GAMMA1:
-        lo1, hi1 = speed_support(w1)
-        lo2, hi2 = speed_support(w2)
-        if pos(lo1):
-            resolved = CaseLabel.C5A
-        elif not pos(hi2):
-            resolved = CaseLabel.C5B
-        elif pos(hi1):
-            resolved = CaseLabel.C5C_I
-        elif pos(lo2):
-            resolved = CaseLabel.C5C_II
-        else:
-            resolved = CaseLabel.C5C_III
-    elif region is RegionLabel.GAMMA2:
-        lo2, hi2 = speed_support(w2)
-        if pos(w1.speed):
-            resolved = CaseLabel.C6A
-        elif not pos(hi2):
-            resolved = CaseLabel.C6B
-        elif pos(lo2):
-            resolved = CaseLabel.C6C_I
-        else:
-            resolved = CaseLabel.C6C_II
-    elif region is RegionLabel.GAMMA3:
-        if pos(w1.speed):
-            resolved = CaseLabel.C7A
-        elif not pos(w2.speed):
-            resolved = CaseLabel.C7B
-        else:
-            resolved = CaseLabel.C7C
-    else:  # GAMMA4
-        lo1, hi1 = speed_support(w1)
-        if pos(lo1):
-            resolved = CaseLabel.C8A
-        elif not pos(w2.speed):
-            resolved = CaseLabel.C8B
-        elif pos(hi1):
-            resolved = CaseLabel.C8C_I
-        else:
-            resolved = CaseLabel.C8C_II
-
+    sonic = any(abs(v) <= cut for v in edges)
     return (CaseLabel.SONIC if sonic else resolved), resolved
 
 
@@ -221,7 +179,7 @@ def solve_ibvp(
     its case label, boundary trace and visible waves.
     """
     region, dist = classify(boundary, initial, p, tol)
-    ws = solve_riemann(boundary, initial, p, tol)
+    ws = _structure(boundary, initial, region, p)
     case, resolved = _case_labels(ws, region, p, tol)
     return QuarterPlaneSolution(
         structure=ws,
@@ -233,11 +191,6 @@ def solve_ibvp(
         visible_waves=_visible_waves(ws, p),
         params=p,
     )
-
-
-def boundary_trace(sol: QuarterPlaneSolution) -> State:
-    """The attained boundary value, lim x -> 0+ of the solution."""
-    return sol.trace
 
 
 def _states_match(a: State, b: State, p: Params, tol: float) -> bool:

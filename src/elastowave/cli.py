@@ -20,17 +20,18 @@ Exit codes: 0 success, 2 config error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .boundary import QuarterPlaneSolution, solve_ibvp
 from .core import Params, Rarefaction, Shock, State, Wave
 from .numerics import ViscousConfig, ViscousField, l1_distance, viscous_solve, write_field_csv
-from .riemann import sample
+from .riemann import sample_many
 from .verify import all_shocks_admissible, fan_continuity_error, max_rh_residual, waves_ordered
 
 __all__ = ["ProblemConfig", "ConfigError", "run", "main"]
@@ -198,13 +199,10 @@ def run(cfg: ProblemConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    xs = [i * cfg.x_max / cfg.nx for i in range(1, cfg.nx + 1)]
-    with open(out / "samples.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "u", "sigma"])
-        for xv in xs:
-            value = sample(sol.structure, xv / cfg.t, p)
-            writer.writerow([repr(xv), repr(value.u), repr(value.sigma)])
+    # float() keeps an integer x_max from a JSON config out of int64 arithmetic
+    x = np.arange(1, cfg.nx + 1) * float(cfg.x_max) / cfg.nx
+    u, sigma = sample_many(sol.structure, x / cfg.t, p)
+    write_field_csv(ViscousField(x=x, u=u, sigma=sigma, t=cfg.t), out / "samples.csv")
 
     report = {
         "schema": REPORT_SCHEMA,

@@ -71,7 +71,7 @@ class ViscousConfig:
 
 @dataclass(frozen=True)
 class ViscousField:
-    """Snapshot of the viscous solution at time t on a uniform grid."""
+    """Snapshot of a solution at time t on a uniform grid."""
 
     x: np.ndarray
     u: np.ndarray
@@ -168,5 +168,5 @@ def write_field_csv(field: ViscousField, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "u", "sigma"])
-        for xv, uv, sv in zip(field.x, field.u, field.sigma):
-            writer.writerow([repr(float(xv)), repr(float(uv)), repr(float(sv))])
+        # csv writes a Python float as its repr, the shortest exact decimal
+        writer.writerows(zip(field.x.tolist(), field.u.tolist(), field.sigma.tolist()))

@@ -81,14 +81,18 @@ def solve_riemann(
     absent and the adjacent constant states collapse, so on-curve data
     yields exactly one wave and coincident data none.
     """
-    label, _ = classify(left, right, p, tol)
-    if label is RegionLabel.COINCIDENT:
+    return _structure(left, right, classify(left, right, p, tol)[0], p)
+
+
+def _structure(left: State, right: State, region: RegionLabel, p: Params) -> WaveStructure:
+    """Wave structure joining ``left`` to ``right``, given their region."""
+    if region is RegionLabel.COINCIDENT:
         return WaveStructure(left, None, left, None, right)
-    if label in (RegionLabel.ON_R1, RegionLabel.ON_S1):
+    if region in (RegionLabel.ON_R1, RegionLabel.ON_S1):
         return WaveStructure(
             left, _elementary(WaveFamily.ONE, left, right, p), right, None, right
         )
-    if label in (RegionLabel.ON_R2, RegionLabel.ON_S2):
+    if region in (RegionLabel.ON_R2, RegionLabel.ON_S2):
         return WaveStructure(
             left, None, left, _elementary(WaveFamily.TWO, left, right, p), right
         )

@@ -16,7 +16,6 @@ from elastowave import (
     ViscousConfig,
     WaveFamily,
     WeakFormGrid,
-    boundary_trace,
     fan_continuity_error,
     front_position,
     in_admissible_set,
@@ -245,7 +244,7 @@ def test_criterion_9_trace_admissibility():
         for i in range(1000):
             b, z, p = random_problem(rng, ALL_REGIONS[i % len(ALL_REGIONS)])
             sol = solve_ibvp(b, z, p)
-            trace = boundary_trace(sol)
+            trace = sol.trace
             assert in_admissible_set(b, trace, p)
             supports = [speed_support(w) for w in sol.structure.waves]
             if not supports:

@@ -8,8 +8,9 @@ from elastowave import (
     Shock,
     State,
     WaveFamily,
-    boundary_trace,
+    classification_scale,
     fan_continuity_error,
+    fan_state,
     in_admissible_set,
     on_curve_solution,
     sample,
@@ -130,6 +131,70 @@ def test_sonic_detection_scales_with_k():
         assert sol.trace == b
 
 
+def _assert_trace_where_labelled(sol, p):
+    """The trace is the piece of the structure the resolved sub-case names."""
+    ws, label = sol.structure, sol.resolved_case.value
+    one, two = WaveFamily.ONE, WaveFamily.TWO
+    clipped = {"1c": one, "5c-i": one, "8c-i": one, "2c": two, "5c-iii": two, "6c-ii": two}
+    if label in clipped:
+        fan = ws.wave1 if clipped[label] is one else ws.wave2
+        expected = fan_state(fan.left, clipped[label], 0.0, p)
+        tol = 1e-12 * classification_scale(ws.left, ws.right, p)
+        assert abs(sol.trace.u - expected.u) <= tol, (label, sol.trace, expected)
+        assert abs(sol.trace.sigma - expected.sigma) <= tol, (label, sol.trace, expected)
+    elif label in ("5c-ii", "6c-i", "7c", "8c-ii"):
+        assert sol.trace == ws.middle, (label, sol.trace)
+    else:
+        assert sol.trace == {"a": ws.left, "b": ws.right}[label[-1]], (label, sol.trace)
+
+
+def _sonic_configurations():
+    """The data of the sonic tests above, as (boundary, initial, params)."""
+    on1 = lambda b, u0, p: State(u0, wave_curve_sigma(b, WaveFamily.ONE, u0, p))
+    z = State(1.0, 0.4)
+    configs = [
+        (State(1.0, 0.0), on1(State(1.0, 0.0), 1.5, K1), K1),
+        (State(1.2, 0.0), on1(State(1.2, 0.0), 0.8, K1), K1),
+        (on1(z, 0.2, K1), z, K1),
+    ]
+    for k in (0.1, 10.0):
+        b = State(k, 0.3)
+        configs.append((b, on1(b, 1.5 * k, Params(k)), Params(k)))
+    return configs
+
+
+def test_resolved_case_locates_trace_at_sonic_ties():
+    # adding one constant to both velocities shifts every wave speed by it
+    # and leaves the wave pattern unchanged; shift so that one speed lands
+    # on or just beside zero and check the label against the trace
+    rng = np.random.default_rng(61)
+    problems = _sonic_configurations() + [random_problem(rng) for _ in range(300)]
+    checked = 0
+    for b, z, p in problems:
+        speeds = {v for w in solve_ibvp(b, z, p).structure.waves for v in speed_support(w)}
+        scale = max(1.0, p.k, abs(b.u), abs(z.u))
+        for v in speeds:
+            for offset in (0.0, 1e-15, -1e-15, 1e-13, -1e-13):
+                c = offset * scale - v
+                sol = solve_ibvp(State(b.u + c, b.sigma), State(z.u + c, z.sigma), p)
+                assert sol.case is CaseLabel.SONIC, (b, z, p.k, v, offset)
+                _assert_trace_where_labelled(sol, p)
+                checked += 1
+    assert checked > 2000
+
+
+def test_shock_tied_just_above_zero_is_visible():
+    # the 1-shock speed is 5e-15, inside the tie band but positive: it
+    # stays in x > 0, so the trace is the boundary state and the case 3a
+    b = State(1.5 + 1e-14, 0.0)
+    z = State(0.5, wave_curve_sigma(b, WaveFamily.ONE, 0.5, K1))
+    sol = solve_ibvp(b, z, K1)
+    assert sol.structure.wave1.speed > 0.0
+    assert sol.case is CaseLabel.SONIC
+    assert sol.resolved_case is CaseLabel.C3A
+    assert sol.trace == b
+
+
 # ------------------------------------------------- restriction equivalence
 
 def test_restriction_equivalence_bulk():
@@ -202,7 +267,7 @@ def test_trace_is_admissible_bulk():
     for _ in range(300):
         b, z, p = random_problem(rng)
         sol = solve_ibvp(b, z, p)
-        assert in_admissible_set(b, boundary_trace(sol), p)
+        assert in_admissible_set(b, sol.trace, p)
 
 
 def test_strong_and_weak_attainment():

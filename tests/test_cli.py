@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from elastowave import Params, State, sample, solve_ibvp
+from elastowave import Params, State, WaveFamily, sample, solve_ibvp, wave_curve_sigma
 from elastowave.cli import ConfigError, load_config, main
+from problems import GOLDEN_CASES
 
 
 def run_cli(tmp_path, name, args):
@@ -75,6 +76,45 @@ def test_reproducible_artifacts(tmp_path):
     assert code_a == code_b == 0
     assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
     assert (out_a / "samples.csv").read_bytes() == (out_b / "samples.csv").read_bytes()
+
+
+def _byte_configs():
+    """One problem per region, k = 1, plus a shock tied just above speed 0,
+    as (boundary, initial, t, x_max); one window is integer-valued, as a
+    JSON config may give it."""
+    configs = {"coincident": (State(0.3, -0.2), State(0.3, -0.2), 0.7, 2.9)}
+    for g in GOLDEN_CASES:
+        configs.setdefault(g.region, (g.boundary, g.initial, 0.7, 2.9))
+    b = State(1.5 + 1e-14, 0.0)
+    z = State(0.5, wave_curve_sigma(b, WaveFamily.ONE, 0.5, Params(1.0)))
+    configs["near-sonic"] = (b, z, 0.7, 2.9)
+    configs["integer-window"] = (b, z, 2, 10**15)
+    return configs
+
+
+_BYTE_CONFIGS = _byte_configs()
+
+
+@pytest.mark.parametrize("nx", [101, 10**4])
+@pytest.mark.parametrize("name", list(_BYTE_CONFIGS))
+def test_samples_csv_bytes_match_scalar_sampling(tmp_path, name, nx):
+    # reference rendered point by point with scalar sample: x = i x_max / nx,
+    # every value written as repr of a Python float, csv line ends \r\n
+    b, z, t, x_max = _BYTE_CONFIGS[name]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        "k": 1.0, "u_b": b.u, "sigma_b": b.sigma, "u_0": z.u, "sigma_0": z.sigma,
+        "t": t, "x_max": x_max, "nx": nx,
+    }))
+    code, out = run_cli(tmp_path, name, ["--config", str(path)])
+    assert code == 0
+    structure = solve_ibvp(b, z, Params(1.0)).structure
+    lines = ["x,u,sigma"]
+    for i in range(1, nx + 1):
+        x = i * x_max / nx
+        value = sample(structure, x / t, Params(1.0))
+        lines.append(f"{x!r},{value.u!r},{value.sigma!r}")
+    assert (out / "samples.csv").read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
 
 
 def test_config_file_with_flag_override(tmp_path):
