@@ -136,7 +136,12 @@ def load_config(argv: list[str] | None = None) -> ProblemConfig:
 def _validate(cfg: ProblemConfig) -> None:
     for name in ("k", "u_b", "sigma_b", "u_0", "sigma_0", "t", "x_max"):
         value = getattr(cfg, name)
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        # bool is an int subclass, but a JSON true is not a number
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+        ):
             raise ConfigError(name, f"must be a finite number, got {value!r}")
     if cfg.k <= 0.0:
         raise ConfigError("k", f"must be > 0, got {cfg.k}")
@@ -144,7 +149,7 @@ def _validate(cfg: ProblemConfig) -> None:
         raise ConfigError("t", f"must be > 0, got {cfg.t}")
     if cfg.x_max <= 0.0:
         raise ConfigError("x_max", f"must be > 0, got {cfg.x_max}")
-    if not isinstance(cfg.nx, int) or cfg.nx < 2:
+    if isinstance(cfg.nx, bool) or not isinstance(cfg.nx, int) or cfg.nx < 2:
         raise ConfigError("nx", f"must be an integer >= 2, got {cfg.nx!r}")
     if cfg.mode not in MODES:
         raise ConfigError("mode", f"must be one of {MODES}, got {cfg.mode!r}")

@@ -52,8 +52,14 @@ class ViscousConfig:
 
     def __post_init__(self) -> None:
         for name in ("epsilon", "x_min", "x_max", "t_end", "cfl"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            # bool is an int subclass, but a JSON true is not a number
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        if isinstance(self.nx, bool) or not isinstance(self.nx, int):
+            raise ValueError(f"nx must be an integer, got {self.nx!r}")
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.nx < 16:
@@ -89,12 +95,18 @@ def viscous_solve(
     """
     x = np.linspace(cfg.x_min, cfg.x_max, cfg.nx)
     dx = x[1] - x[0]
-    u = np.where(x < 0.0, boundary.u, initial.u).astype(float)
-    s = np.where(x < 0.0, boundary.sigma, initial.sigma).astype(float)
-    u[0], s[0] = boundary.u, boundary.sigma
+    # rows u and sigma of one array, so each step is one pass over both
+    w = np.empty((2, cfg.nx))
+    w[0] = np.where(x < 0.0, boundary.u, initial.u)
+    w[1] = np.where(x < 0.0, boundary.sigma, initial.sigma)
+    left = np.array([boundary.u, boundary.sigma])
+    w[:, 0] = left
+    u = w[0]
 
     eps = cfg.epsilon
-    k2 = p.k * p.k
+    diffusion = eps / (dx * dx)
+    # the sigma_x term of the u equation and the k^2 u_x term of the sigma one
+    coupling = np.array([[1.0], [p.k * p.k]]) / (2.0 * dx)
     bound = 10.0 * (1.0 + max(abs(boundary.u), abs(initial.u)) + p.k)
     t = 0.0
     step = 0
@@ -105,17 +117,16 @@ def viscous_solve(
             raise RuntimeError(
                 f"step size collapsed at t={t:.6g} (max speed {amax:.6g})"
             )
-        ux = (u[2:] - u[:-2]) / (2.0 * dx)
-        sx = (s[2:] - s[:-2]) / (2.0 * dx)
-        uxx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-        sxx = (s[2:] - 2.0 * s[1:-1] + s[:-2]) / (dx * dx)
-        uc = u[1:-1]
-        u = u.copy()
-        s = s.copy()
-        u[1:-1] += dt * (-uc * ux + sx + eps * uxx)
-        s[1:-1] += dt * (-uc * sx + k2 * ux + eps * sxx)
-        u[0], s[0] = boundary.u, boundary.sigma
-        u[-1], s[-1] = u[-2], s[-2]
+        d = w[:, 1:] - w[:, :-1]
+        central = d[:, 1:] + d[:, :-1]
+        rhs = (
+            diffusion * (d[:, 1:] - d[:, :-1])
+            - (u[1:-1] / (2.0 * dx)) * central
+            + coupling * central[::-1]
+        )
+        w[:, 1:-1] += dt * rhs
+        w[:, 0] = left
+        w[:, -1] = w[:, -2]
         t += dt
         step += 1
         if step % 200 == 0 and (
@@ -126,7 +137,7 @@ def viscous_solve(
                 f"(max |u| = {np.max(np.abs(u)):.3g}); "
                 "the step rule needs a smaller cfl for this data"
             )
-    return ViscousField(x=x, u=u, sigma=s, t=cfg.t_end)
+    return ViscousField(x=x, u=w[0], sigma=w[1], t=cfg.t_end)
 
 
 def l1_distance(

@@ -264,13 +264,10 @@ def weak_residual(
     x = np.linspace(grid.x_min, grid.x_max, grid.nx)
     t = np.linspace(grid.t_min, grid.t_max, grid.nt)
 
-    U = np.empty((grid.nt, grid.nx))
-    S = np.empty_like(U)
-    SX = np.empty_like(U)  # classical d(sigma)/dx, delta parts excluded
-    for i, ti in enumerate(t):
-        xi = x / ti
-        U[i], S[i] = sample_many(ws, xi, p)
-        SX[i] = _sigma_xi_slope(ws, xi, p) / ti
+    xi = x[None, :] / t[:, None]
+    U, S = sample_many(ws, xi, p)
+    # classical d(sigma)/dx, delta parts excluded
+    USX = U * (_sigma_xi_slope(ws, xi, p) / t[:, None])
     F = 0.5 * U * U - S
 
     # trapezoid weights
@@ -280,10 +277,11 @@ def weak_residual(
     wt = np.full(grid.nt, t[1] - t[0])
     wt[0] *= 0.5
     wt[-1] *= 0.5
-    W = np.outer(wt, wx)
 
     shocks = [w for w in ws.waves if isinstance(w, Shock)]
 
+    # Each test function is a product bt(t) bx(x), so every weighted grid
+    # sum of M * phi is the bilinear form (wt*bt) @ M @ (wx*bx).
     worst1 = 0.0
     worst2 = 0.0
     for (x0, x1, t0, t1) in _windows(grid):
@@ -291,18 +289,17 @@ def weak_residual(
         zt = (2.0 * t - (t0 + t1)) / (t1 - t0)
         bx = _bump(zx)
         bt = _bump(zt)
-        bxd = _bump_deriv(zx) * (2.0 / (x1 - x0))
-        btd = _bump_deriv(zt) * (2.0 / (t1 - t0))
-        phi = np.outer(bt, bx)
-        phi_x = np.outer(bt, bxd)
-        phi_t = np.outer(btd, bx)
-        den = float(np.sum(W * phi))
+        bxW = wx * bx
+        btW = wt * bt
+        bxdW = wx * _bump_deriv(zx) * (2.0 / (x1 - x0))
+        btdW = wt * _bump_deriv(zt) * (2.0 / (t1 - t0))
+        den = float(np.sum(btW)) * float(np.sum(bxW))
         if den == 0.0:
             continue
 
-        r1 = -float(np.sum(W * (U * phi_t + F * phi_x)))
+        r1 = -float(btdW @ U @ bxW + btW @ F @ bxdW)
 
-        r2 = -float(np.sum(W * (S * phi_t - U * SX * phi - p.k**2 * U * phi_x)))
+        r2 = -float(btdW @ S @ bxW - btW @ USX @ bxW - p.k**2 * (btW @ U @ bxdW))
         for sh in shocks:
             ubar = 0.5 * (sh.left.u + sh.right.u)
             dsig = sh.right.sigma - sh.left.sigma

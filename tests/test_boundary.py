@@ -327,9 +327,15 @@ def test_scan_agrees_with_idempotence():
     ]
     hits = scan_admissible_set(b, candidate, grid, K1, tol=1e-9)
     assert candidate in hits  # idempotence: the candidate reproduces itself
-    # every hit's own trace is the candidate, by construction of the scan
-    for z in hits:
-        assert in_admissible_set(b, candidate, K1)
+    assert len(hits) > 1
+    # every hit's own trace is the candidate; every other state's is far from it
+    for z in grid:
+        trace = solve_ibvp(b, z, K1).trace
+        gap = max(abs(trace.u - candidate.u), abs(trace.sigma - candidate.sigma))
+        if z in hits:
+            assert gap <= 1e-12
+        else:
+            assert gap > 1e-9
 
 
 # ------------------------------------------------------ on-curve closed form

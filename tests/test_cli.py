@@ -161,6 +161,43 @@ def test_config_errors_exit_2(tmp_path, capsys, args, field):
     assert field in err
 
 
+_BASE_CONFIG = {"k": 1.0, "u_b": 1.6, "sigma_b": 0.1, "u_0": 1.0, "sigma_0": -0.5}
+_VISCOUS_CONFIG = {"epsilon": 0.02, "x_min": 0.0, "x_max": 1.5, "nx": 200, "t_end": 0.4}
+
+
+@pytest.mark.parametrize(
+    "top,viscous,field",
+    [
+        # bool is an int subclass; a JSON true must not pass as 1
+        *[
+            pytest.param({name: True}, {}, name, id=f"{name}-true")
+            for name in (*_BASE_CONFIG, "t", "x_max", "nx")
+        ],
+        *[
+            pytest.param({}, {name: True}, name, id=f"viscous.{name}-true")
+            for name in (*_VISCOUS_CONFIG, "cfl")
+        ],
+        # a float nx passed the nx >= 16 check and crashed in np.linspace
+        pytest.param({}, {"nx": 200.0}, "nx", id="viscous.nx-float"),
+    ],
+)
+def test_json_non_numbers_exit_2(tmp_path, capsys, top, viscous, field):
+    cfg = {
+        **_BASE_CONFIG,
+        "mode": "exact+viscous",
+        **top,
+        "viscous": {**_VISCOUS_CONFIG, **viscous},
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert field in err
+    assert not out.exists()
+
+
 def test_unordered_structure_exits_3(tmp_path, capsys):
     # a velocity jump beyond the ordering bound produces crossing shocks;
     # the report is still written but verification must fail

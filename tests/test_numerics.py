@@ -119,6 +119,63 @@ def test_invariant_transport_across_fan():
     assert np.max(w2) - np.min(w2) < 0.05 * jump_scale
 
 
+def _two_array_reference(boundary, initial, p, cfg):
+    """Reference for viscous_solve: u and sigma as separate arrays, each
+    stencil written out term by term, with the same step rule."""
+    x = np.linspace(cfg.x_min, cfg.x_max, cfg.nx)
+    dx = x[1] - x[0]
+    u = np.where(x < 0.0, boundary.u, initial.u).astype(float)
+    s = np.where(x < 0.0, boundary.sigma, initial.sigma).astype(float)
+    u[0], s[0] = boundary.u, boundary.sigma
+    eps = cfg.epsilon
+    k2 = p.k * p.k
+    t = 0.0
+    while t < cfg.t_end:
+        amax = float(np.max(np.abs(u))) + p.k
+        dt = min(cfg.cfl * dx / amax, dx * dx / (4.0 * eps), cfg.t_end - t)
+        ux = (u[2:] - u[:-2]) / (2.0 * dx)
+        sx = (s[2:] - s[:-2]) / (2.0 * dx)
+        uxx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+        sxx = (s[2:] - 2.0 * s[1:-1] + s[:-2]) / (dx * dx)
+        uc = u[1:-1]
+        u = u.copy()
+        s = s.copy()
+        u[1:-1] += dt * (-uc * ux + sx + eps * uxx)
+        s[1:-1] += dt * (-uc * sx + k2 * ux + eps * sxx)
+        u[0], s[0] = boundary.u, boundary.sigma
+        u[-1], s[-1] = u[-2], s[-2]
+        t += dt
+    return u, s
+
+
+@pytest.mark.parametrize(
+    "boundary,initial,p,cfg",
+    [
+        pytest.param(
+            golden_by_label("3a").boundary, golden_by_label("3a").initial, K1, SMALL, id="3a"
+        ),
+        # k != 1 so that the k^2 coupling cannot sit in the wrong equation
+        pytest.param(
+            State(1.6, 0.1), State(1.0, -0.5), Params(1.7), SMALL, id="full-plane-k1.7"
+        ),
+        pytest.param(
+            State(0.0, 0.0),
+            State(-1.0, -1.0),
+            K1,
+            ViscousConfig(epsilon=0.01, x_min=0.0, x_max=1.5, nx=300, t_end=0.3),
+            id="quarter-plane",
+        ),
+    ],
+)
+def test_viscous_solve_matches_two_array_reference(boundary, initial, p, cfg):
+    field = viscous_solve(boundary, initial, p, cfg)
+    u, s = _two_array_reference(boundary, initial, p, cfg)
+    scale = max(1.0, float(np.max(np.abs(u))), float(np.max(np.abs(s))))
+    assert field.u.shape == field.sigma.shape == (cfg.nx,)
+    assert np.max(np.abs(field.u - u)) <= 1e-12 * scale
+    assert np.max(np.abs(field.sigma - s)) <= 1e-12 * scale
+
+
 def test_front_position_interpolates():
     x = np.linspace(-1.0, 1.0, 201)
     u = np.tanh((x - 0.1234) / 0.05)

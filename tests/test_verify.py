@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from elastowave import (
     Params,
+    Shock,
     State,
     WaveFamily,
     WeakFormGrid,
@@ -18,7 +19,9 @@ from elastowave import (
     waves_ordered,
     weak_residual,
 )
-from problems import K1, golden_by_label
+from elastowave.riemann import sample_many
+from elastowave.verify import _bump, _bump_deriv, _sigma_xi_slope, _windows
+from problems import K1, REPRESENTATIVES, golden_by_label
 
 finite = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 speeds = st.floats(min_value=0.05, max_value=10.0, allow_nan=False)
@@ -128,3 +131,69 @@ def test_weak_residual_rejects_wrong_speed():
     # and the defect does not vanish under refinement
     wrong_coarse = weak_residual(bad, K1, GRID)
     assert wrong[0] > 0.3 * wrong_coarse[0]
+
+
+def _dense_weak_residual(ws, p, grid):
+    """Reference for weak_residual: every test bump as a dense (nt, nx)
+    outer product, summed over the whole grid."""
+    x = np.linspace(grid.x_min, grid.x_max, grid.nx)
+    t = np.linspace(grid.t_min, grid.t_max, grid.nt)
+    U = np.empty((grid.nt, grid.nx))
+    S = np.empty_like(U)
+    SX = np.empty_like(U)
+    for i, ti in enumerate(t):
+        xi = x / ti
+        U[i], S[i] = sample_many(ws, xi, p)
+        SX[i] = _sigma_xi_slope(ws, xi, p) / ti
+    F = 0.5 * U * U - S
+    wx = np.full(grid.nx, x[1] - x[0])
+    wx[0] *= 0.5
+    wx[-1] *= 0.5
+    wt = np.full(grid.nt, t[1] - t[0])
+    wt[0] *= 0.5
+    wt[-1] *= 0.5
+    W = np.outer(wt, wx)
+    shocks = [w for w in ws.waves if isinstance(w, Shock)]
+    worst1 = worst2 = 0.0
+    for (x0, x1, t0, t1) in _windows(grid):
+        zx = (2.0 * x - (x0 + x1)) / (x1 - x0)
+        zt = (2.0 * t - (t0 + t1)) / (t1 - t0)
+        bx = _bump(zx)
+        bt = _bump(zt)
+        phi = np.outer(bt, bx)
+        phi_x = np.outer(bt, _bump_deriv(zx) * (2.0 / (x1 - x0)))
+        phi_t = np.outer(_bump_deriv(zt) * (2.0 / (t1 - t0)), bx)
+        den = float(np.sum(W * phi))
+        if den == 0.0:
+            continue
+        r1 = -float(np.sum(W * (U * phi_t + F * phi_x)))
+        r2 = -float(np.sum(W * (S * phi_t - U * SX * phi - p.k**2 * U * phi_x)))
+        for sh in shocks:
+            ubar = 0.5 * (sh.left.u + sh.right.u)
+            dsig = sh.right.sigma - sh.left.sigma
+            zxs = (2.0 * sh.speed * t - (x0 + x1)) / (x1 - x0)
+            r2 += ubar * dsig * float(np.sum(wt * _bump(zxs) * bt))
+        worst1 = max(worst1, abs(r1) / den)
+        worst2 = max(worst2, abs(r2) / den)
+    return worst1, worst2
+
+
+def _weak_reference_structures():
+    out = []
+    for label, g in sorted(REPRESENTATIVES.items()):
+        out.append(pytest.param(solve_ibvp(g.boundary, g.initial, K1).structure, id=label))
+    seven = solve_ibvp(REPRESENTATIVES["7a"].boundary, REPRESENTATIVES["7a"].initial, K1)
+    out.append(
+        pytest.param(perturb_shock_speed(seven.structure, WaveFamily.ONE, 0.1), id="7a-bad-speed")
+    )
+    return out
+
+
+@pytest.mark.parametrize("ws", _weak_reference_structures())
+def test_weak_residual_matches_dense_reference(ws):
+    # nx != nt so that a transposed bilinear form cannot pass
+    grid = WeakFormGrid(0.03, 2.43, 0.35, 1.15, 48, 40, levels=1)
+    got = weak_residual(ws, K1, grid)
+    want = _dense_weak_residual(ws, K1, grid)
+    assert max(got) > 1e-6  # a vanishing residual would compare nothing
+    assert got == pytest.approx(want, rel=0.0, abs=1e-13)
