@@ -94,14 +94,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def load_config(argv: list[str] | None = None) -> ProblemConfig:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     values: dict = {}
     if args.config is not None:
         try:
-            raw = json.loads(Path(args.config).read_text())
-        except FileNotFoundError:
-            raise ConfigError("config", f"file not found: {args.config}")
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("config", f"cannot read {args.config}: {exc}")
+        try:
+            raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"invalid JSON: {exc}")
         if not isinstance(raw, dict):
@@ -153,6 +158,8 @@ def _validate(cfg: ProblemConfig) -> None:
         raise ConfigError("nx", f"must be an integer >= 2, got {cfg.nx!r}")
     if cfg.mode not in MODES:
         raise ConfigError("mode", f"must be one of {MODES}, got {cfg.mode!r}")
+    if not isinstance(cfg.out, str):
+        raise ConfigError("out", f"must be a string, got {cfg.out!r}")
 
 
 def _state_json(s: State) -> dict:

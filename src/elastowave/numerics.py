@@ -12,7 +12,6 @@ exact sampled solution in L1, which is what the convergence tests measure.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -175,9 +174,28 @@ def front_position(field: ViscousField, level: float) -> float:
 
 
 def write_field_csv(field: ViscousField, path: str | Path) -> None:
-    """Snapshot as CSV with columns x,u,sigma; decimals round-trip exactly."""
+    """Snapshot as CSV with columns x,u,sigma and \\r\\n line ends.
+
+    Each value is written as its repr, the shortest decimal that reads back
+    to the same float, so the decimals round-trip exactly.
+    """
+    columns = [_column_reprs(c) for c in (field.x, field.u, field.sigma)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "u", "sigma"])
-        # csv writes a Python float as its repr, the shortest exact decimal
-        writer.writerows(zip(field.x.tolist(), field.u.tolist(), field.sigma.tolist()))
+        fh.write("x,u,sigma\r\n")
+        fh.writelines(f"{x},{u},{s}\r\n" for x, u, s in zip(*columns))
+
+
+def _column_reprs(column: np.ndarray) -> list[str]:
+    """repr of every value, computed once per run of equal values.
+
+    Exact fields are constant states joined by waves, so their columns are
+    long runs of one value.  Runs are split where the bit patterns differ,
+    not the values: -0.0 == 0.0, but their reprs differ.
+    """
+    a = np.ascontiguousarray(column, dtype=np.float64)
+    bits = a.view(np.int64)
+    run_start = np.ones(a.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    reprs = np.array([repr(v) for v in a[starts].tolist()], dtype=object)
+    return np.repeat(reprs, np.diff(starts, append=a.size)).tolist()

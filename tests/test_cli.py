@@ -144,6 +144,9 @@ def test_viscous_mode(tmp_path):
     assert (out / "viscous.csv").exists()
 
 
+_PROBLEM_FLAGS = ["--k", "1", "--ub", "0", "--sb", "0", "--u0", "0", "--s0", "0"]
+
+
 @pytest.mark.parametrize(
     "args,field",
     [
@@ -151,9 +154,18 @@ def test_viscous_mode(tmp_path):
         (["--k", "1", "--ub", "0", "--sb", "0", "--u0", "0", "--s0", "0", "--t", "-1"], "t"),
         (["--k", "1", "--ub", "0", "--sb", "0", "--u0", "0", "--s0", "0", "--nx", "1"], "nx"),
         (["--k", "1", "--ub", "0", "--sb", "0"], "u_0"),
+        # a config file that cannot be read is a config error, not a traceback
+        *[
+            pytest.param([*_PROBLEM_FLAGS, "--config", name], "config", id=f"config-{name}")
+            for name in ("missing.json", "directory.json", "latin1.json")
+        ],
     ],
 )
-def test_config_errors_exit_2(tmp_path, capsys, args, field):
+def test_config_errors_exit_2(tmp_path, monkeypatch, capsys, args, field):
+    # the config files the cases name, relative to tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "directory.json").mkdir()
+    (tmp_path / "latin1.json").write_bytes(b'{"mode": "exact\xe9"}')
     code = main([*args, "--out", str(tmp_path / "x")])
     assert code == 2
     err = capsys.readouterr().err
@@ -179,19 +191,25 @@ _VISCOUS_CONFIG = {"epsilon": 0.02, "x_min": 0.0, "x_max": 1.5, "nx": 200, "t_en
         ],
         # a float nx passed the nx >= 16 check and crashed in np.linspace
         pytest.param({}, {"nx": 200.0}, "nx", id="viscous.nx-float"),
+        # a non-string out crashed in Path()
+        *[
+            pytest.param({"out": value}, {}, "out", id=f"out-{value!r}")
+            for value in (5, None, True, ["a"])
+        ],
     ],
 )
 def test_json_non_numbers_exit_2(tmp_path, capsys, top, viscous, field):
+    out = tmp_path / "out"
     cfg = {
         **_BASE_CONFIG,
         "mode": "exact+viscous",
+        "out": str(out),
         **top,
         "viscous": {**_VISCOUS_CONFIG, **viscous},
     }
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    assert main(["--config", str(path), "--out", str(out)]) == 2
+    assert main(["--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert field in err
@@ -214,6 +232,17 @@ def test_unknown_config_field_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"k": 1.0, "wrong": 2}))
     assert main(["--config", str(path)]) == 2
+
+
+def test_load_config_calls_share_no_flags(tmp_path):
+    # the parser is built once per process; one call's flags must not
+    # reach the next call
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"t": 0.5}))
+    first = load_config([*_PROBLEM_FLAGS, "--nx", "9", "--config", str(path), "--out", "a"])
+    assert (first.nx, first.t, first.out) == (9, 0.5, "a")
+    second = load_config(_PROBLEM_FLAGS)
+    assert (second.nx, second.t, second.out) == (101, 1.0, ".")
 
 
 def test_load_config_direct():

@@ -1,5 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastowave import (
     Params,
@@ -8,6 +12,7 @@ from elastowave import (
     ViscousField,
     front_position,
     l1_distance,
+    sample_many,
     solve_ibvp,
     viscous_solve,
     write_field_csv,
@@ -197,3 +202,70 @@ def test_field_csv_round_trip(tmp_path):
     assert np.array_equal(data[:, 0], field.x)
     assert np.array_equal(data[:, 1], field.u)
     assert np.array_equal(data[:, 2], field.sigma)
+
+
+def _csv_module_reference(field, path):
+    """Reference for write_field_csv: the csv module, which writes a Python
+    float as its repr and ends each row with \\r\\n."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "u", "sigma"])
+        writer.writerows(zip(field.x.tolist(), field.u.tolist(), field.sigma.tolist()))
+
+
+def _assert_csv_bytes_match_reference(field, directory):
+    write_field_csv(field, directory / "field.csv")
+    _csv_module_reference(field, directory / "reference.csv")
+    assert (directory / "field.csv").read_bytes() == (directory / "reference.csv").read_bytes()
+
+
+def _exact_two_fan_field():
+    g = golden_by_label("5a")
+    sol = solve_ibvp(g.boundary, g.initial, K1)
+    x = np.arange(1, 2001) * 2.0 / 2000
+    u, s = sample_many(sol.structure, x, K1)
+    return ViscousField(x=x, u=u, sigma=s, t=1.0)
+
+
+# -0.0 next to 0.0: equal values with different reprs
+_EDGE_COLUMN = [0.0, -0.0, -0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-5, 1e16, 0.1]
+
+
+def _byte_case_field(name):
+    if name == "viscous":
+        g = golden_by_label("4a")
+        return viscous_solve(g.boundary, g.initial, K1, SMALL)
+    if name == "exact-two-fans":
+        return _exact_two_fan_field()
+    if name == "edge-column":
+        edge = np.array(_EDGE_COLUMN)
+        return ViscousField(x=edge, u=edge[::-1].copy(), sigma=np.roll(edge, 3), t=1.0)
+    # columns of a row-major table are strided, non-contiguous views
+    exact = _exact_two_fan_field()
+    table = np.column_stack([exact.x, exact.u, exact.sigma])[::-3]
+    assert not table[:, 1].flags.c_contiguous
+    return ViscousField(x=table[:, 0], u=table[:, 1], sigma=table[:, 2], t=1.0)
+
+
+@pytest.mark.parametrize("name", ["viscous", "exact-two-fans", "edge-column", "strided"])
+def test_field_csv_bytes_match_csv_module(tmp_path, name):
+    _assert_csv_bytes_match_reference(_byte_case_field(name), tmp_path)
+
+
+# values drawn often from a small pool, so that neighbouring runs are
+# often equal values with different bits, such as 0.0 and -0.0
+_values = st.one_of(st.sampled_from(_EDGE_COLUMN), st.floats(width=64))
+_runs = st.lists(st.tuples(_values, st.integers(1, 6)), max_size=25)
+
+
+def _column(runs):
+    return np.repeat([v for v, _ in runs], [n for _, n in runs]).astype(np.float64)
+
+
+@given(_runs, _runs, _runs)
+@settings(max_examples=200, deadline=None)
+def test_field_csv_bytes_match_csv_module_on_runs(tmp_path_factory, x_runs, u_runs, s_runs):
+    x, u, s = _column(x_runs), _column(u_runs), _column(s_runs)
+    n = min(x.size, u.size, s.size)
+    field = ViscousField(x=x[:n], u=u[:n], sigma=s[:n], t=1.0)
+    _assert_csv_bytes_match_reference(field, tmp_path_factory.mktemp("csv"))
