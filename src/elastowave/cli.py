@@ -21,16 +21,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .boundary import QuarterPlaneSolution, solve_ibvp
 from .core import Params, Rarefaction, Shock, State, Wave
-from .numerics import ViscousConfig, ViscousField, l1_distance, viscous_solve, write_field_csv
+from .numerics import (
+    ConfigError,
+    ViscousConfig,
+    ViscousField,
+    _check_number,
+    l1_distance,
+    viscous_solve,
+    write_field_csv,
+)
 from .riemann import sample_many
 from .verify import all_shocks_admissible, fan_continuity_error, max_rh_residual, waves_ordered
 
@@ -40,14 +47,27 @@ REPORT_SCHEMA = 1
 MODES = ("exact", "exact+viscous")
 
 
-class ConfigError(Exception):
-    def __init__(self, field: str, message: str) -> None:
-        super().__init__(f"{field}: {message}")
-        self.field = field
+# flag, config field, flag type, help: the parser, the merge of flags over
+# a JSON config and the number checks of ProblemConfig all read this table
+_FIELDS = (
+    ("k", "k", float, "elastic wave speed (> 0)"),
+    ("ub", "u_b", float, "boundary velocity"),
+    ("sb", "sigma_b", float, "boundary stress"),
+    ("u0", "u_0", float, "initial velocity"),
+    ("s0", "sigma_0", float, "initial stress"),
+    ("t", "t", float, "sampling time (> 0)"),
+    ("xmax", "x_max", float, "sampling window upper end (> 0)"),
+    ("nx", "nx", int, "number of sample points (>= 2)"),
+    ("mode", "mode", str, "exact or exact+viscous"),
+    ("out", "out", str, "output directory"),
+)
 
 
 @dataclass
 class ProblemConfig:
+    """A quarter-plane problem and its output directory, checked on
+    construction: a bad value raises ConfigError naming its field."""
+
     k: float
     u_b: float
     sigma_b: float
@@ -60,19 +80,18 @@ class ProblemConfig:
     out: str = "."
     viscous: ViscousConfig | None = None
 
-
-_FLAG_FIELDS = {
-    "k": "k",
-    "ub": "u_b",
-    "sb": "sigma_b",
-    "u0": "u_0",
-    "s0": "sigma_0",
-    "t": "t",
-    "xmax": "x_max",
-    "nx": "nx",
-    "mode": "mode",
-    "out": "out",
-}
+    def __post_init__(self) -> None:
+        for _, name, kind, _ in _FIELDS:
+            if kind is float:
+                _check_number(name, getattr(self, name))
+        for name in ("k", "t", "x_max"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(name, f"must be > 0, got {getattr(self, name)}")
+        _check_number("nx", self.nx, min_int=2)
+        if self.mode not in MODES:
+            raise ConfigError("mode", f"must be one of {MODES}, got {self.mode!r}")
+        if not isinstance(self.out, str):
+            raise ConfigError("out", f"must be a string, got {self.out!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,16 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact quarter-plane solver for the 2x2 elastic-wave system",
     )
     parser.add_argument("--config", type=str, help="JSON config file; flags override it")
-    parser.add_argument("--k", type=float, help="elastic wave speed (> 0)")
-    parser.add_argument("--ub", type=float, help="boundary velocity")
-    parser.add_argument("--sb", type=float, help="boundary stress")
-    parser.add_argument("--u0", type=float, help="initial velocity")
-    parser.add_argument("--s0", type=float, help="initial stress")
-    parser.add_argument("--t", type=float, help="sampling time (> 0)")
-    parser.add_argument("--xmax", type=float, help="sampling window upper end (> 0)")
-    parser.add_argument("--nx", type=int, help="number of sample points (>= 2)")
-    parser.add_argument("--mode", type=str, choices=MODES, help="exact or exact+viscous")
-    parser.add_argument("--out", type=str, help="output directory")
+    for flag, _, kind, help_ in _FIELDS:
+        parser.add_argument(f"--{flag}", type=kind, help=help_)
     return parser
 
 
@@ -111,18 +122,17 @@ def load_config(argv: list[str] | None = None) -> ProblemConfig:
             raise ConfigError("config", f"invalid JSON: {exc}")
         if not isinstance(raw, dict):
             raise ConfigError("config", "top level must be an object")
-        for key, value in raw.items():
-            if key == "viscous":
-                continue
-            if key not in _FLAG_FIELDS.values():
+        known = {f.name for f in fields(ProblemConfig)}
+        for key in raw:
+            if key not in known:
                 raise ConfigError(key, "unknown config field")
-            values[key] = value
-        if "viscous" in raw and raw["viscous"] is not None:
+        values.update(raw)
+        if values.get("viscous") is not None:
             try:
-                values["viscous"] = ViscousConfig(**raw["viscous"])
+                values["viscous"] = ViscousConfig(**values["viscous"])
             except (TypeError, ValueError) as exc:
                 raise ConfigError("viscous", str(exc))
-    for flag, field in _FLAG_FIELDS.items():
+    for flag, field, _, _ in _FIELDS:
         value = getattr(args, flag)
         if value is not None:
             values[field] = value
@@ -130,36 +140,7 @@ def load_config(argv: list[str] | None = None) -> ProblemConfig:
     for required in ("k", "u_b", "sigma_b", "u_0", "sigma_0"):
         if required not in values:
             raise ConfigError(required, "missing (give a flag or a config entry)")
-    try:
-        cfg = ProblemConfig(**values)
-    except TypeError as exc:
-        raise ConfigError("config", str(exc))
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: ProblemConfig) -> None:
-    for name in ("k", "u_b", "sigma_b", "u_0", "sigma_0", "t", "x_max"):
-        value = getattr(cfg, name)
-        # bool is an int subclass, but a JSON true is not a number
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not math.isfinite(value)
-        ):
-            raise ConfigError(name, f"must be a finite number, got {value!r}")
-    if cfg.k <= 0.0:
-        raise ConfigError("k", f"must be > 0, got {cfg.k}")
-    if cfg.t <= 0.0:
-        raise ConfigError("t", f"must be > 0, got {cfg.t}")
-    if cfg.x_max <= 0.0:
-        raise ConfigError("x_max", f"must be > 0, got {cfg.x_max}")
-    if isinstance(cfg.nx, bool) or not isinstance(cfg.nx, int) or cfg.nx < 2:
-        raise ConfigError("nx", f"must be an integer >= 2, got {cfg.nx!r}")
-    if cfg.mode not in MODES:
-        raise ConfigError("mode", f"must be one of {MODES}, got {cfg.mode!r}")
-    if not isinstance(cfg.out, str):
-        raise ConfigError("out", f"must be a string, got {cfg.out!r}")
+    return ProblemConfig(**values)
 
 
 def _state_json(s: State) -> dict:
@@ -240,17 +221,11 @@ def run(cfg: ProblemConfig) -> int:
             x_max=cfg.x_max,
             nx=max(16, 4 * cfg.nx),
             t_end=cfg.t,
-            cfl=0.4,
         )
         field = viscous_solve(boundary, initial, p, vcfg)
         write_field_csv(field, out / "viscous.csv")
         report["viscous"] = {
-            "epsilon": vcfg.epsilon,
-            "x_min": vcfg.x_min,
-            "x_max": vcfg.x_max,
-            "nx": vcfg.nx,
-            "t_end": vcfg.t_end,
-            "cfl": vcfg.cfl,
+            **asdict(vcfg),
             "l1_distance": l1_distance(field, sol),
             "field_csv": "viscous.csv",
         }
@@ -268,11 +243,13 @@ def run(cfg: ProblemConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(argv)
+        try:
+            return run(cfg)
+        except OSError as exc:
+            raise ConfigError("out", f"cannot write {cfg.out}: {exc}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return run(cfg)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -32,6 +32,32 @@ __all__ = [
 ]
 
 
+class ConfigError(ValueError):
+    """A config value that breaks a rule; ``field`` names the value."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(f"{field}: {message}")
+        self.field = field
+
+
+def _check_number(name: str, value: object, min_int: int | None = None) -> None:
+    """Raise ConfigError naming ``name`` unless ``value`` is a finite number,
+    or, when ``min_int`` is given, an integer >= ``min_int``.
+
+    bool is an int subclass, but a JSON true is not a number.
+    """
+    if min_int is not None:
+        ok = isinstance(value, int) and value >= min_int
+    else:
+        try:
+            ok = math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an int beyond float
+            ok = False
+    if isinstance(value, bool) or not ok:
+        what = "a finite number" if min_int is None else f"an integer >= {min_int}"
+        raise ConfigError(name, f"must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ViscousConfig:
     """Run parameters for the viscous solver.
@@ -39,7 +65,8 @@ class ViscousConfig:
     Full-plane runs put the data jump at the interior point x = 0
     (x_min < 0 < x_max); quarter-plane runs use x_min = 0 with the
     boundary state held there.  The time step is
-    min(cfl dx / max|speed|, dx^2 / (4 eps)) each step.
+    min(cfl dx / max|speed|, dx^2 / (4 eps)) each step.  A bad value
+    raises ConfigError, a ValueError naming the field.
     """
 
     epsilon: float
@@ -51,26 +78,16 @@ class ViscousConfig:
 
     def __post_init__(self) -> None:
         for name in ("epsilon", "x_min", "x_max", "t_end", "cfl"):
-            value = getattr(self, name)
-            # bool is an int subclass, but a JSON true is not a number
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-        if isinstance(self.nx, bool) or not isinstance(self.nx, int):
-            raise ValueError(f"nx must be an integer, got {self.nx!r}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.nx < 16:
-            raise ValueError(f"nx must be at least 16, got {self.nx}")
-        if self.t_end <= 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+            _check_number(name, getattr(self, name))
+        _check_number("nx", self.nx, min_int=16)
+        for name in ("epsilon", "t_end"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(name, f"must be positive, got {getattr(self, name)}")
         if not 0.0 < self.cfl < 1.0:
-            raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
+            raise ConfigError("cfl", f"must lie in (0, 1), got {self.cfl}")
         if not (self.x_min < 0.0 < self.x_max or self.x_min == 0.0 < self.x_max):
-            raise ValueError(
-                "window must have x_min < 0 < x_max (full plane) "
-                "or x_min = 0 (quarter plane)"
+            raise ConfigError(
+                "window", "must have x_min < 0 < x_max (full plane) or x_min = 0 (quarter plane)"
             )
 
 
@@ -177,8 +194,12 @@ def write_field_csv(field: ViscousField, path: str | Path) -> None:
     """Snapshot as CSV with columns x,u,sigma and \\r\\n line ends.
 
     Each value is written as its repr, the shortest decimal that reads back
-    to the same float, so the decimals round-trip exactly.
+    to the same float, so the decimals round-trip exactly.  Columns of
+    different lengths raise ValueError.
     """
+    lengths = [len(c) for c in (field.x, field.u, field.sigma)]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns x, u, sigma differ in length: {lengths}")
     columns = [_column_reprs(c) for c in (field.x, field.u, field.sigma)]
     with open(path, "w", newline="") as fh:
         fh.write("x,u,sigma\r\n")

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from elastowave import Params, State, WaveFamily, sample, solve_ibvp, wave_curve_sigma
-from elastowave.cli import ConfigError, load_config, main
+from elastowave.cli import ConfigError, ProblemConfig, load_config, main
 from problems import GOLDEN_CASES
 
 
@@ -196,6 +196,14 @@ _VISCOUS_CONFIG = {"epsilon": 0.02, "x_min": 0.0, "x_max": 1.5, "nx": 200, "t_en
             pytest.param({"out": value}, {}, "out", id=f"out-{value!r}")
             for value in (5, None, True, ["a"])
         ],
+        # the viscous diagnostic named only "viscous", not the field
+        *[
+            pytest.param({}, {"epsilon": value}, "epsilon", id=f"viscous.epsilon-{value!r}")
+            for value in ("0.1", None, [1])
+        ],
+        pytest.param({"k": "1"}, {}, "k", id="k-'1'"),
+        # an integer too large for a float crashed in math.isfinite
+        pytest.param({"k": 10**400}, {}, "k", id="k-10**400"),
     ],
 )
 def test_json_non_numbers_exit_2(tmp_path, capsys, top, viscous, field):
@@ -214,6 +222,30 @@ def test_json_non_numbers_exit_2(tmp_path, capsys, top, viscous, field):
     assert err.startswith("config error:")
     assert field in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+def test_unwritable_out_exits_2(tmp_path, capsys, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    code = main([*_PROBLEM_FLAGS, "--out", str(blocker / below)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out:")
+    assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize(
+    "change,field",
+    [({"k": 0}, "k"), ({"nx": 1}, "nx"), ({"mode": "bogus"}, "mode"), ({"out": 5}, "out")],
+)
+def test_problem_config_checks_itself(change, field):
+    # built directly, as scripts do, without the CLI's parser
+    base = dict(k=1.0, u_b=0.0, sigma_b=0.0, u_0=0.0, sigma_0=0.0)
+    with pytest.raises(ConfigError) as info:
+        ProblemConfig(**{**base, **change})
+    assert info.value.field == field
+    assert str(info.value).startswith(f"{field}: ")
 
 
 def test_unordered_structure_exits_3(tmp_path, capsys):

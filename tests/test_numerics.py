@@ -33,6 +33,11 @@ def test_config_validation():
         ViscousConfig(epsilon=0.01, x_min=-1, x_max=1, nx=100, t_end=0.5, cfl=1.5)
     # quarter-plane window is allowed
     ViscousConfig(epsilon=0.01, x_min=0.0, x_max=1.0, nx=100, t_end=0.5)
+    # numpy scalars are numbers too
+    ViscousConfig(
+        epsilon=np.float64(0.01), x_min=np.float32(0.0), x_max=np.int64(1), nx=100,
+        t_end=np.float16(0.5), cfl=np.float64(0.4),
+    )
 
 
 def test_constant_data_stays_constant():
@@ -188,6 +193,13 @@ def test_front_position_interpolates():
     assert abs(front_position(field, 0.0) - 0.1234) <= 1e-3
     with pytest.raises(ValueError):
         front_position(field, 5.0)
+
+
+def test_field_csv_rejects_columns_of_unequal_length(tmp_path):
+    field = ViscousField(x=np.arange(3.0), u=np.zeros(2), sigma=np.zeros(3), t=1.0)
+    with pytest.raises(ValueError, match="length"):
+        write_field_csv(field, tmp_path / "field.csv")
+    assert not (tmp_path / "field.csv").exists()
 
 
 def test_field_csv_round_trip(tmp_path):
