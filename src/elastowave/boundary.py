@@ -141,16 +141,21 @@ _SUBCASES: dict[RegionLabel, tuple[CaseLabel, ...]] = {
 def _case_labels(
     ws: WaveStructure, region: RegionLabel, p: Params, tol: float
 ) -> tuple[CaseLabel, CaseLabel]:
-    edges = [
-        v
-        for w in ws.waves
-        for v in ((w.speed,) if isinstance(w, Shock) else (w.xi_lo, w.xi_hi))
-    ]
-    resolved = _SUBCASES[region][sum(v > 0.0 for v in edges)]
     cut = tol * max(
         1.0, p.k, abs(ws.left.u), abs(ws.middle.u), abs(ws.right.u)
     )
-    sonic = any(abs(v) <= cut for v in edges)
+    positive = 0  # edges with speed > 0
+    sonic = False  # some edge within the cut of zero
+    for w in ws.waves:
+        if isinstance(w, Shock):
+            v = w.speed
+            positive += v > 0.0
+            sonic = sonic or abs(v) <= cut
+        else:
+            lo, hi = w.xi_lo, w.xi_hi
+            positive += (lo > 0.0) + (hi > 0.0)
+            sonic = sonic or abs(lo) <= cut or abs(hi) <= cut
+    resolved = _SUBCASES[region][positive]
     return (CaseLabel.SONIC if sonic else resolved), resolved
 
 
@@ -206,8 +211,9 @@ def in_admissible_set(
     Uses the idempotence test: solve with the candidate as initial data
     and check that the trace reproduces the candidate.
     """
-    sol = solve_ibvp(boundary, candidate, p)
-    return _states_match(sol.trace, candidate, p, tol)
+    region, _ = classify(boundary, candidate, p)
+    trace = sample(_structure(boundary, candidate, region, p), 0.0, p)
+    return _states_match(trace, candidate, p, tol)
 
 
 def scan_admissible_set(

@@ -83,7 +83,7 @@ class ProblemConfig:
     def __post_init__(self) -> None:
         for _, name, kind, _ in _FIELDS:
             if kind is float:
-                _check_number(name, getattr(self, name))
+                setattr(self, name, _check_number(name, getattr(self, name)))
         for name in ("k", "t", "x_max"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(name, f"must be > 0, got {getattr(self, name)}")

@@ -180,4 +180,7 @@ class WaveStructure:
 
     @property
     def waves(self) -> tuple[Wave, ...]:
-        return tuple(w for w in (self.wave1, self.wave2) if w is not None)
+        w1, w2 = self.wave1, self.wave2
+        if w1 is None:
+            return () if w2 is None else (w2,)
+        return (w1,) if w2 is None else (w1, w2)

@@ -40,22 +40,30 @@ class ConfigError(ValueError):
         self.field = field
 
 
-def _check_number(name: str, value: object, min_int: int | None = None) -> None:
-    """Raise ConfigError naming ``name`` unless ``value`` is a finite number,
-    or, when ``min_int`` is given, an integer >= ``min_int``.
+def _check_number(name: str, value: object, min_int: int | None = None) -> int | float:
+    """Return ``value`` if it is a finite real number, or, when ``min_int``
+    is given, an integer >= ``min_int``; else raise ConfigError naming
+    ``name``.
 
-    bool is an int subclass, but a JSON true is not a number.
+    bool and numpy's bool are not numbers, although bool is an int
+    subclass, and a numpy complex is not real, although math.isfinite
+    takes it.  A built-in int or float comes back unchanged, any other
+    number (a numpy scalar, say) as the built-in int or float that
+    json.dump can write.
     """
-    if min_int is not None:
+    if isinstance(value, (bool, np.bool_, np.complexfloating)):
+        ok = False
+    elif min_int is not None:
         ok = isinstance(value, int) and value >= min_int
     else:
         try:
             ok = math.isfinite(value)
         except (TypeError, OverflowError):  # not a number, or an int beyond float
             ok = False
-    if isinstance(value, bool) or not ok:
+    if not ok:
         what = "a finite number" if min_int is None else f"an integer >= {min_int}"
         raise ConfigError(name, f"must be {what}, got {value!r}")
+    return int(value) if isinstance(value, (int, np.integer)) else float(value)
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,7 @@ class ViscousConfig:
 
     def __post_init__(self) -> None:
         for name in ("epsilon", "x_min", "x_max", "t_end", "cfl"):
-            _check_number(name, getattr(self, name))
+            object.__setattr__(self, name, _check_number(name, getattr(self, name)))
         _check_number("nx", self.nx, min_int=16)
         for name in ("epsilon", "t_end"):
             if getattr(self, name) <= 0.0:

@@ -145,25 +145,37 @@ def sample(ws: WaveStructure, xi: float, p: Params) -> State:
 def sample_many(
     ws: WaveStructure, xi: np.ndarray, p: Params
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`sample` over an array of xi values."""
-    xi = np.asarray(xi, dtype=float)
-    u = np.full(xi.shape, ws.right.u)
-    s = np.full(xi.shape, ws.right.sigma)
-    pending = np.ones(xi.shape, dtype=bool)
+    """Vectorized :func:`sample` over an array of xi values.
 
-    for wave, left_const in ((ws.wave2, ws.middle), (ws.wave1, ws.left)):
+    Every point starts at the value :func:`sample` gives when none of its
+    tests holds (a nan among them).  The waves are then walked from left
+    to right, each writing its fan on (xi_lo, xi_hi) and its right state
+    on xi >= speed or xi >= xi_hi; a later write overwrites an earlier
+    one, which is the order in which :func:`sample` tests.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if ws.wave1 is not None:
+        first = ws.left
+    elif ws.wave2 is not None:
+        first = ws.middle
+    else:
+        first = ws.right
+    u = np.full(xi.shape, first.u)
+    s = np.full(xi.shape, first.sigma)
+
+    for wave, right in ((ws.wave1, ws.middle), (ws.wave2, ws.right)):
         if wave is None:
             continue
         if isinstance(wave, Shock):
-            pending &= xi < wave.speed
+            past = xi >= wave.speed
         else:
-            pending &= xi < wave.xi_hi
-            fan = pending & (xi > wave.xi_lo)
-            if fan.any():
+            past = xi >= wave.xi_hi
+            fan = (xi > wave.xi_lo) & ~past
+            xf = xi[fan]
+            if xf.size:
                 lam_a = wave.family.characteristic_speed(wave.left, p)
-                u[fan] = xi[fan] - wave.family.speed_offset(p)
-                s[fan] = wave.left.sigma + wave.family.curve_slope(p) * (xi[fan] - lam_a)
-            pending &= xi <= wave.xi_lo
-        u[pending] = left_const.u
-        s[pending] = left_const.sigma
+                u[fan] = xf - wave.family.speed_offset(p)
+                s[fan] = wave.left.sigma + wave.family.curve_slope(p) * (xf - lam_a)
+        u[past] = right.u
+        s[past] = right.sigma
     return u, s

@@ -21,6 +21,7 @@ from elastowave import (
     speed_support,
     wave_curve_sigma,
 )
+from elastowave.boundary import _states_match
 from problems import GOLDEN_CASES, K1, golden_by_label, random_problem, sample_points
 
 
@@ -262,12 +263,47 @@ def _assert_case_predicates(sol, b, z, p):
 
 # ----------------------------------------------------- trace and admissibility
 
+def _in_admissible_set_reference(b, c, p, tol=1e-9):
+    """The idempotence test through the full quarter-plane solution."""
+    return _states_match(solve_ibvp(b, c, p).trace, c, p, tol)
+
+
+def _admissibility_draws(rng):
+    """(boundary, candidate, params) draws: random data, the same data
+    Galilean-shifted so that a wave speed lands on or beside zero, and
+    two-shock data whose waves overlap; each with the initial state, its
+    trace and a nudged trace as candidates."""
+    for _ in range(300):
+        b, z, p = random_problem(rng)
+        data = [(b, z)]
+        speeds = [v for w in solve_ibvp(b, z, p).structure.waves for v in speed_support(w)]
+        if speeds:
+            offset = (0.0, 1e-15, -1e-15, 1e-13, -1e-13)[rng.integers(5)]
+            c = offset * max(1.0, p.k, abs(b.u), abs(z.u)) - speeds[rng.integers(len(speeds))]
+            data.append((State(b.u + c, b.sigma), State(z.u + c, z.sigma)))
+        du = float(rng.uniform(4.5, 8.0)) * p.k
+        data.append((b, State(b.u - du, b.sigma + float(rng.uniform(-0.8, 0.8)) * p.k * du)))
+        for b, z in data:
+            trace = solve_ibvp(b, z, p).trace
+            nudged = State(trace.u + float(rng.normal()) * 1e-3, trace.sigma)
+            for candidate in (z, trace, nudged):
+                yield b, candidate, p
+
+
 def test_trace_is_admissible_bulk():
     rng = np.random.default_rng(47)
     for _ in range(300):
         b, z, p = random_problem(rng)
         sol = solve_ibvp(b, z, p)
         assert in_admissible_set(b, sol.trace, p)
+    # the trace-only test agrees with the idempotence test through the
+    # full solution, on candidates in and out of the set
+    seen = {True: 0, False: 0}
+    for b, candidate, p in _admissibility_draws(rng):
+        expected = _in_admissible_set_reference(b, candidate, p)
+        assert in_admissible_set(b, candidate, p) is expected, (b, candidate, p.k)
+        seen[expected] += 1
+    assert min(seen.values()) > 500, seen
 
 
 def test_strong_and_weak_attainment():

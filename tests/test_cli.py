@@ -1,10 +1,13 @@
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from elastowave import Params, State, WaveFamily, sample, solve_ibvp, wave_curve_sigma
-from elastowave.cli import ConfigError, ProblemConfig, load_config, main
+from elastowave.cli import ConfigError, ProblemConfig, load_config, main, run
+from elastowave.numerics import ViscousConfig
 from problems import GOLDEN_CASES
 
 
@@ -115,6 +118,97 @@ def test_samples_csv_bytes_match_scalar_sampling(tmp_path, name, nx):
         value = sample(structure, x / t, Params(1.0))
         lines.append(f"{x!r},{value.u!r},{value.sigma!r}")
     assert (out / "samples.csv").read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+
+
+def _golden_runs():
+    """CLI argument lists: the problems of scripts/case_gallery.py (k = 1,
+    t = 0.5, x_max = 2.2) at nx = 101, crossing shocks (exit 3) and a small
+    exact+viscous run with the default viscous block."""
+    gallery = {
+        "1a": (1.5, 0.0, 2.0, 0.5),
+        "2a": (-0.5, 0.2, 0.2, -0.5),
+        "3a": (1.6, 0.1, 1.0, -0.5),
+        "4a": (0.6, 0.0, -0.2, 0.8),
+        "5a": (1.2, 0.0, 1.6, 0.0),
+        "6a": (1.8, 0.3, 1.2, -1.1),
+        "7a": (1.9, 0.0, 0.5, -0.2),
+        "8a": (1.3, -0.2, 0.9, 1.0),
+    }
+    runs = {}
+    for name, (ub, sb, u0, s0) in gallery.items():
+        runs[name] = [
+            "--k", "1", "--ub", str(ub), "--sb", str(sb), "--u0", str(u0), "--s0", str(s0),
+            "--t", "0.5", "--xmax", "2.2", "--nx", "101",
+        ]
+    runs["overlap"] = ["--k", "1", "--ub", "3", "--sb", "0", "--u0", "-3", "--s0", "0"]
+    runs["exact+viscous"] = [
+        "--k", "1", "--ub", "1.6", "--sb", "0.1", "--u0", "1.0", "--s0", "-0.5",
+        "--t", "0.4", "--xmax", "1.5", "--nx", "20", "--mode", "exact+viscous",
+    ]
+    return runs
+
+
+_GOLDEN_RUNS = _golden_runs()
+
+# sha256 of every artifact each golden run writes, and its exit code.  An
+# artifact is meant to change only on purpose: then re-pin it here and say
+# why in the change log.
+_GOLDEN_DIGESTS = {
+    "1a": (0, {
+        "report.json": "69d86ca13cbd3f28847507fdd93b623ebea5de166bf481e8c04a441483ddf6c9",
+        "samples.csv": "e20c8cf60904a8e46dde421aed5f4d78561295044fa79d08da2a364c8e6dbec4",
+    }),
+    "2a": (0, {
+        "report.json": "3e92d15da75fe6657e986ef5b7a171d84d1a8819be432c384e2f05421d5346a8",
+        "samples.csv": "c09c7a24eae6b303cec42db7e097c8bca8abc700ec174deaf5351d9ca7e8ab63",
+    }),
+    "3a": (0, {
+        "report.json": "35d69869a435f04d7add99d62ce22476ab1938686af92157b2dcea0e30ae6e27",
+        "samples.csv": "4acc6b930c6bb1bb4a5f656b84e919a95e6161538295668c703ec0eb7cbd2d06",
+    }),
+    "4a": (0, {
+        "report.json": "5014aad59a2c3960edeac3c2aab1d0b3c3893cdaa9dc1efcb2f9b987e813071d",
+        "samples.csv": "fd84dd7a0d4848fb302bd6e60e1ff043cea51c1f3c474c80c46ee442377fd337",
+    }),
+    "5a": (0, {
+        "report.json": "7f795a5670f1a1173d6690f75122ebd9f386198e6656dd170dcac70c3c1ea126",
+        "samples.csv": "d75af36ee3cd246ab50ed19badc6a55abb28b3846b6941b9fc77d54d804af4ee",
+    }),
+    "6a": (0, {
+        "report.json": "47e7ac9ccdc150bd6369d94c4770a367ee629a208053e8af6fbb3f1b3a5393d6",
+        "samples.csv": "198b1a071af2e82ebe670855b0ef4aab53512eeab62d0ceb7af1bad34f3c2541",
+    }),
+    "7a": (0, {
+        "report.json": "d10ae8a39d2c86db734969c673ac5ded43d4b501df30b6536b0fe465416f936a",
+        "samples.csv": "a3a261c282beb803f7b3abd1998ab2a07fe5e4dbae95118c152fab33b8e3ba6a",
+    }),
+    "8a": (0, {
+        "report.json": "802bd5adfe18de5875bed13d9b2280f619b208c108bff06cf1e0fc6e6e57adf8",
+        "samples.csv": "93636b1d8bca8bbd32c3262247496677deb2e195f54143ee204007384eeee4e2",
+    }),
+    "overlap": (3, {
+        "report.json": "e91d576c0d4f9c3842c2fb3fb23d59923a7bd5bd058eff10e58a91b045cbf21b",
+        "samples.csv": "b3357d3190e7ca1172a64820b76c0e8d5751af063e05279162e8db9fe743c64e",
+    }),
+    "exact+viscous": (0, {
+        "report.json": "39592f648f8fa8f5acaa0c215763036e83bf4c5a6831ea6e6326759a4883f69a",
+        "samples.csv": "fcdf5119b9f15feaae5250b48a507cb40eff0728ba5a1f38ba6192ccf6ebb463",
+        "viscous.csv": "2b4d872de3454900884851898a6a55081a4de2fa20ca4a814baa83c87fa8d274",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_RUNS))
+def test_artifact_digests_are_pinned(tmp_path, name):
+    code, out = run_cli(tmp_path, "out", _GOLDEN_RUNS[name])
+    expected_code, expected = _GOLDEN_DIGESTS[name]
+    assert code == expected_code, f"{name}: exit {code}, pinned {expected_code}"
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
+    }
+    assert sorted(written) == sorted(expected), f"{name}: wrote {sorted(written)}"
+    changed = [artifact for artifact in expected if written[artifact] != expected[artifact]]
+    assert not changed, f"{name}: bytes changed in {', '.join(changed)}"
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -237,7 +331,14 @@ def test_unwritable_out_exits_2(tmp_path, capsys, below):
 
 @pytest.mark.parametrize(
     "change,field",
-    [({"k": 0}, "k"), ({"nx": 1}, "nx"), ({"mode": "bogus"}, "mode"), ({"out": 5}, "out")],
+    [
+        ({"k": 0}, "k"), ({"nx": 1}, "nx"), ({"mode": "bogus"}, "mode"), ({"out": 5}, "out"),
+        # numpy's bool is not a number either
+        *[({name: np.True_}, name) for name in ("k", "u_b", "sigma_b", "u_0", "sigma_0", "t")],
+        ({"x_max": np.False_}, "x_max"),
+        # nor is a numpy complex, whose real part math.isfinite would take
+        ({"u_b": np.complex128(1.5)}, "u_b"),
+    ],
 )
 def test_problem_config_checks_itself(change, field):
     # built directly, as scripts do, without the CLI's parser
@@ -246,6 +347,27 @@ def test_problem_config_checks_itself(change, field):
         ProblemConfig(**{**base, **change})
     assert info.value.field == field
     assert str(info.value).startswith(f"{field}: ")
+
+
+def test_numpy_scalars_reach_report_as_builtins(tmp_path):
+    # numpy numbers from a Python caller are stored as built-in floats, so
+    # report.json is written whole, with the same bytes as from floats (every
+    # value here is exact in float32)
+    def config(number, out):
+        viscous = ViscousConfig(epsilon=number(0.03125), x_min=0.0, x_max=number(1.5), nx=200,
+                                t_end=number(0.5))
+        return ProblemConfig(k=number(1.0), u_b=number(1.5), sigma_b=0.1, u_0=1.0,
+                             sigma_0=number(-0.5), t=number(0.5), x_max=1.5, nx=20,
+                             mode="exact+viscous", out=str(tmp_path / out), viscous=viscous)
+
+    cfg = config(np.float32, "f32")
+    assert type(cfg.k) is float and type(cfg.viscous.epsilon) is float
+    # a built-in number keeps its type
+    assert type(ProblemConfig(k=2, u_b=0, sigma_b=0.0, u_0=0.0, sigma_0=0.0).k) is int
+    assert run(cfg) == 0
+    assert run(config(float, "float")) == 0
+    for name in ("report.json", "samples.csv", "viscous.csv"):
+        assert (tmp_path / "f32" / name).read_bytes() == (tmp_path / "float" / name).read_bytes()
 
 
 def test_unordered_structure_exits_3(tmp_path, capsys):

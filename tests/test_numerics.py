@@ -17,6 +17,7 @@ from elastowave import (
     viscous_solve,
     write_field_csv,
 )
+from elastowave.numerics import ConfigError
 from problems import K1, golden_by_label
 
 SMALL = ViscousConfig(epsilon=0.01, x_min=-1.0, x_max=1.5, nx=400, t_end=0.3)
@@ -33,11 +34,21 @@ def test_config_validation():
         ViscousConfig(epsilon=0.01, x_min=-1, x_max=1, nx=100, t_end=0.5, cfl=1.5)
     # quarter-plane window is allowed
     ViscousConfig(epsilon=0.01, x_min=0.0, x_max=1.0, nx=100, t_end=0.5)
-    # numpy scalars are numbers too
-    ViscousConfig(
+    # numpy scalars are numbers too, stored as the built-in float or int
+    cfg = ViscousConfig(
         epsilon=np.float64(0.01), x_min=np.float32(0.0), x_max=np.int64(1), nx=100,
         t_end=np.float16(0.5), cfl=np.float64(0.4),
     )
+    assert [type(getattr(cfg, name)) for name in ("epsilon", "x_min", "x_max", "t_end", "cfl")] \
+        == [float, float, int, float, float]
+    assert (cfg.epsilon, cfg.x_min, cfg.x_max, cfg.t_end, cfg.cfl) == (0.01, 0.0, 1, 0.5, 0.4)
+    # numpy's bool is no more a number than bool is, and a complex is not real
+    base = dict(epsilon=0.01, x_min=0.0, x_max=1.0, nx=100, t_end=0.5)
+    for name in ("epsilon", "x_min", "x_max", "t_end", "cfl"):
+        for bad in (np.True_, np.complex64(0.25)):
+            with pytest.raises(ConfigError) as info:
+                ViscousConfig(**{**base, name: bad})
+            assert info.value.field == name
 
 
 def test_constant_data_stays_constant():

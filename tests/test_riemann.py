@@ -213,15 +213,22 @@ def test_on_curve_data_yields_single_wave():
 
 
 def test_sample_many_matches_scalar_sample_bitwise():
+    # besides random points: nan, +-inf, +-0.0 and every edge speed exactly,
+    # where the branch order of the two paths decides the value
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0]
     rng = np.random.default_rng(37)
-    for _ in range(200):
-        b, z, p = random_problem(rng)
+    problems = [random_problem(rng) for _ in range(200)]
+    problems.append((State(1.6, 0.1), State(1.0, -0.5), P1))  # 3a: nan gave right
+    problems.append((State(0.3, -0.2), State(0.3 + 1e-14, -0.2), P1))  # no waves
+    for b, z, p in problems:
         ws = solve_riemann(b, z, p)
-        xi = rng.uniform(-6 * p.k - 6, 6 * p.k + 6, size=41)
+        edges = [v for w in ws.waves for v in speed_support(w)]
+        xi = np.concatenate([rng.uniform(-6 * p.k - 6, 6 * p.k + 6, size=41), special, edges])
         u, s = sample_many(ws, xi, p)
         for j, x in enumerate(xi):
             pt = sample(ws, float(x), p)
-            assert u[j] == pt.u and s[j] == pt.sigma
+            assert np.float64(u[j]).tobytes() == np.float64(pt.u).tobytes(), (b, z, x)
+            assert np.float64(s[j]).tobytes() == np.float64(pt.sigma).tobytes(), (b, z, x)
 
 
 def test_zero_strength_waves_are_absent():
