@@ -10,9 +10,6 @@ from .core import (
     Wave,
     WaveFamily,
     WaveStructure,
-    characteristic_speeds,
-    riemann_invariants,
-    state_from_invariants,
 )
 from .curves import (
     DEFAULT_TOL,
@@ -22,15 +19,13 @@ from .curves import (
     classify,
     intermediate_state,
     signed_distances,
-    wave_curve_sigma,
 )
-from .riemann import fan_state, rarefaction_state, sample, sample_many, solve_riemann, speed_support
+from .riemann import fan_state, sample, sample_many, solve_riemann, speed_support
 from .boundary import (
     CaseLabel,
     QuarterPlaneSolution,
     in_admissible_set,
     on_curve_solution,
-    scan_admissible_set,
     solve_ibvp,
 )
 from .verify import (
@@ -40,7 +35,6 @@ from .verify import (
     fan_continuity_error,
     lax_check,
     max_rh_residual,
-    perturb_shock_speed,
     rh_residual,
     rh_scale,
     waves_ordered,

@@ -30,23 +30,22 @@ A speed within tolerance of zero (a sonic tie) sets the label SONIC, and
 the sub-case is reported alongside as the resolved case.  The labels
 describe ordered structures only; when the waves overlap
 (``verify.waves_ordered`` fails) they carry no meaning.  The visible
-waves keep one convention of their own: a standing shock (speed exactly
-zero) is listed, although sampling at xi = 0 already returns its right
-flank.
+waves follow the same count: a wave is visible when it has an edge with
+speed > 0.
 
 The boundary value is attained only in the weak sense: the trace
 (the limit of the solution as x -> 0+) ranges over the set of states
 reachable from the boundary state by waves of nonpositive speed.  That
 set is characterized here by idempotence: a candidate belongs to it if
 and only if solving with the candidate as initial data traces back to the
-candidate itself.  A grid scan is provided as an independent audit.
+candidate itself.  The test suite audits it with an independent grid
+scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .core import Params, Rarefaction, Shock, State, Wave, WaveFamily, WaveStructure
 from .curves import (
@@ -63,7 +62,6 @@ __all__ = [
     "QuarterPlaneSolution",
     "solve_ibvp",
     "in_admissible_set",
-    "scan_admissible_set",
     "on_curve_solution",
 ]
 
@@ -105,10 +103,11 @@ class QuarterPlaneSolution:
 
     ``structure`` is the underlying two-state solution, ``trace`` its
     right-continuous value at xi = 0 (the attained boundary value), and
-    ``visible_waves`` the waves that reach into x > 0: shocks with
-    nonnegative speed, fans clipped to nonnegative speeds.  ``case`` is
-    SONIC when a wave speed is within tolerance of zero; ``resolved_case``
-    always names the concrete sub-case, counted from the exact signs.
+    ``visible_waves`` the waves that reach into x > 0, those with an edge
+    of speed > 0: shocks of positive speed, fans clipped to nonnegative
+    speeds.  ``case`` is SONIC when a wave speed is within tolerance of
+    zero; ``resolved_case`` always names the concrete sub-case, counted
+    from the exact signs.
     """
 
     structure: WaveStructure
@@ -139,9 +138,9 @@ _SUBCASES: dict[RegionLabel, tuple[CaseLabel, ...]] = {
 
 
 def _case_labels(
-    ws: WaveStructure, region: RegionLabel, p: Params, tol: float
+    ws: WaveStructure, region: RegionLabel, p: Params
 ) -> tuple[CaseLabel, CaseLabel]:
-    cut = tol * max(
+    cut = DEFAULT_TOL * max(
         1.0, p.k, abs(ws.left.u), abs(ws.middle.u), abs(ws.right.u)
     )
     positive = 0  # edges with speed > 0
@@ -163,7 +162,7 @@ def _visible_waves(ws: WaveStructure, p: Params) -> tuple[Wave, ...]:
     out: list[Wave] = []
     for w in ws.waves:
         if isinstance(w, Shock):
-            if w.speed >= 0.0:
+            if w.speed > 0.0:
                 out.append(w)
         else:
             if w.xi_hi > 0.0:
@@ -175,17 +174,15 @@ def _visible_waves(ws: WaveStructure, p: Params) -> tuple[Wave, ...]:
     return tuple(out)
 
 
-def solve_ibvp(
-    boundary: State, initial: State, p: Params, tol: float = DEFAULT_TOL
-) -> QuarterPlaneSolution:
+def solve_ibvp(boundary: State, initial: State, p: Params) -> QuarterPlaneSolution:
     """Solve the quarter-plane problem with the given constant data.
 
     The restriction of the two-state solution to x >= 0, together with
     its case label, boundary trace and visible waves.
     """
-    region, dist = classify(boundary, initial, p, tol)
+    region, dist = classify(boundary, initial, p)
     ws = _structure(boundary, initial, region, p)
-    case, resolved = _case_labels(ws, region, p, tol)
+    case, resolved = _case_labels(ws, region, p)
     return QuarterPlaneSolution(
         structure=ws,
         region=region,
@@ -203,37 +200,16 @@ def _states_match(a: State, b: State, p: Params, tol: float) -> bool:
     return p.k * abs(a.u - b.u) <= tol * scale and abs(a.sigma - b.sigma) <= tol * scale
 
 
-def in_admissible_set(
-    boundary: State, candidate: State, p: Params, tol: float = 1e-9
-) -> bool:
+def in_admissible_set(boundary: State, candidate: State, p: Params) -> bool:
     """Whether ``candidate`` is an attainable boundary value for ``boundary``.
 
     Uses the idempotence test: solve with the candidate as initial data
-    and check that the trace reproduces the candidate.
+    and check that the trace reproduces the candidate to 1e-9 of
+    :func:`classification_scale`.
     """
     region, _ = classify(boundary, candidate, p)
     trace = sample(_structure(boundary, candidate, region, p), 0.0, p)
-    return _states_match(trace, candidate, p, tol)
-
-
-def scan_admissible_set(
-    boundary: State,
-    candidate: State,
-    initials: Iterable[State],
-    p: Params,
-    tol: float = 1e-9,
-) -> list[State]:
-    """Brute-force audit of :func:`in_admissible_set`.
-
-    Returns every initial state from ``initials`` whose boundary trace
-    matches ``candidate`` within tolerance.
-    """
-    hits = []
-    for z in initials:
-        sol = solve_ibvp(boundary, z, p)
-        if _states_match(sol.trace, candidate, p, tol):
-            hits.append(z)
-    return hits
+    return _states_match(trace, candidate, p, 1e-9)
 
 
 def on_curve_solution(
@@ -243,7 +219,6 @@ def on_curve_solution(
     p: Params,
     x: float,
     t: float,
-    tol: float = DEFAULT_TOL,
 ) -> State:
     """Closed form of the quarter-plane solution for on-curve data.
 
@@ -253,12 +228,12 @@ def on_curve_solution(
     directly; this evaluator is independent of the wave-structure solver
     and serves as a regression oracle for it.
     """
-    if t <= 0.0 or x <= 0.0:
+    if not (t > 0.0 and x > 0.0):
         raise ValueError(f"point (x={x}, t={t}) outside the open quarter plane")
     slope = family.curve_slope(p)
     mismatch = (initial.sigma - boundary.sigma) - slope * (initial.u - boundary.u)
     scale = classification_scale(boundary, initial, p)
-    if abs(mismatch) > tol * scale:
+    if abs(mismatch) > DEFAULT_TOL * scale:
         raise ValueError(
             "initial state does not lie on the wave curve of that family "
             f"through the boundary state (mismatch {mismatch!r})"
@@ -266,7 +241,7 @@ def on_curve_solution(
     v_b = family.characteristic_speed(boundary, p)
     v_0 = family.characteristic_speed(initial, p)
     xi = x / t
-    if p.k * abs(initial.u - boundary.u) <= tol * scale:
+    if p.k * abs(initial.u - boundary.u) <= DEFAULT_TOL * scale:
         return initial
     if v_b < v_0:
         # single fan between the two characteristic speeds

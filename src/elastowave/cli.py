@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import QuarterPlaneSolution, solve_ibvp
-from .core import Params, Rarefaction, Shock, State, Wave
+from .core import Params, Shock, State, Wave
 from .numerics import (
     ConfigError,
     ViscousConfig,
@@ -87,7 +87,7 @@ class ProblemConfig:
         for name in ("k", "t", "x_max"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(name, f"must be > 0, got {getattr(self, name)}")
-        _check_number("nx", self.nx, min_int=2)
+        self.nx = _check_number("nx", self.nx, min_int=2)
         if self.mode not in MODES:
             raise ConfigError("mode", f"must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.out, str):

@@ -26,9 +26,6 @@ __all__ = [
     "Rarefaction",
     "Wave",
     "WaveStructure",
-    "characteristic_speeds",
-    "riemann_invariants",
-    "state_from_invariants",
 ]
 
 
@@ -88,26 +85,6 @@ class WaveFamily(Enum):
 
     def characteristic_speed(self, s: State, p: Params) -> float:
         return s.u + self.sign * p.k
-
-
-def characteristic_speeds(s: State, p: Params) -> tuple[float, float]:
-    """Both characteristic speeds at a state, strictly increasing."""
-    return s.u - p.k, s.u + p.k
-
-
-def riemann_invariants(s: State, p: Params) -> tuple[float, float]:
-    """(sigma - k u, sigma + k u).
-
-    The first is constant across every family-ONE wave, the second
-    across every family-TWO wave; their level sets are the straight
-    wave-curve lines.
-    """
-    return s.sigma - p.k * s.u, s.sigma + p.k * s.u
-
-
-def state_from_invariants(w1: float, w2: float, p: Params) -> State:
-    """Inverse of :func:`riemann_invariants`."""
-    return State(u=(w2 - w1) / (2.0 * p.k), sigma=0.5 * (w1 + w2))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Params, State, WaveFamily
+from .core import Params, State
 
 __all__ = [
     "DEFAULT_TOL",
@@ -33,7 +33,6 @@ __all__ = [
     "SignedDistances",
     "classification_scale",
     "signed_distances",
-    "wave_curve_sigma",
     "classify",
     "intermediate_state",
 ]
@@ -77,28 +76,15 @@ def signed_distances(base: State, query: State, p: Params) -> SignedDistances:
     return SignedDistances(d1=ds - p.k * du, d2=ds + p.k * du)
 
 
-def wave_curve_sigma(base: State, family: WaveFamily, u: float, p: Params) -> float:
-    """Stress on the family's wave-curve line through ``base`` at velocity u.
-
-    Points with u > base.u are on the rarefaction branch, points with
-    u < base.u on the shock branch.
-    """
-    return base.sigma + family.curve_slope(p) * (u - base.u)
-
-
-def classify(
-    base: State, query: State, p: Params, tol: float = DEFAULT_TOL
-) -> tuple[RegionLabel, SignedDistances]:
+def classify(base: State, query: State, p: Params) -> tuple[RegionLabel, SignedDistances]:
     """Locate ``query`` relative to the wave curves through ``base``.
 
     On-curve detection wins over sector labels, and a query matching the
-    base itself is COINCIDENT.  ``tol`` is relative to
+    base itself is COINCIDENT.  The tolerance is DEFAULT_TOL relative to
     :func:`classification_scale`.
     """
-    if tol < 0.0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
     dist = signed_distances(base, query, p)
-    cut = tol * classification_scale(base, query, p)
+    cut = DEFAULT_TOL * classification_scale(base, query, p)
     on1 = abs(dist.d1) <= cut
     on2 = abs(dist.d2) <= cut
     du = query.u - base.u

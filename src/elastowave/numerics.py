@@ -54,7 +54,7 @@ def _check_number(name: str, value: object, min_int: int | None = None) -> int |
     if isinstance(value, (bool, np.bool_, np.complexfloating)):
         ok = False
     elif min_int is not None:
-        ok = isinstance(value, int) and value >= min_int
+        ok = isinstance(value, (int, np.integer)) and value >= min_int
     else:
         try:
             ok = math.isfinite(value)
@@ -87,7 +87,7 @@ class ViscousConfig:
     def __post_init__(self) -> None:
         for name in ("epsilon", "x_min", "x_max", "t_end", "cfl"):
             object.__setattr__(self, name, _check_number(name, getattr(self, name)))
-        _check_number("nx", self.nx, min_int=16)
+        object.__setattr__(self, "nx", _check_number("nx", self.nx, min_int=16))
         for name in ("epsilon", "t_end"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(name, f"must be positive, got {getattr(self, name)}")

@@ -17,11 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Params, Rarefaction, Shock, State, Wave, WaveFamily, WaveStructure
-from .curves import DEFAULT_TOL, RegionLabel, classify, intermediate_state
+from .curves import RegionLabel, classify, intermediate_state
 
 __all__ = [
     "fan_state",
-    "rarefaction_state",
     "solve_riemann",
     "sample",
     "sample_many",
@@ -43,22 +42,6 @@ def fan_state(anchor: State, family: WaveFamily, xi: float, p: Params) -> State:
     )
 
 
-def rarefaction_state(wave: Rarefaction, xi: float, p: Params) -> State:
-    """Evaluate a fan wave at xi, raising outside its interval.
-
-    The flank states are returned exactly at the fan edges.
-    """
-    if xi < wave.xi_lo or xi > wave.xi_hi:
-        raise ValueError(
-            f"xi={xi} outside fan interval [{wave.xi_lo}, {wave.xi_hi}]"
-        )
-    if xi == wave.xi_lo:
-        return wave.left
-    if xi == wave.xi_hi:
-        return wave.right
-    return fan_state(wave.left, wave.family, xi, p)
-
-
 def _elementary(family: WaveFamily, a: State, b: State, p: Params) -> Wave:
     """Single wave of ``family`` from left state ``a`` to right state ``b``."""
     if b.u > a.u:
@@ -72,16 +55,14 @@ def _elementary(family: WaveFamily, a: State, b: State, p: Params) -> Wave:
     return Shock(family, a, b, speed=0.5 * (a.u + b.u) + family.speed_offset(p))
 
 
-def solve_riemann(
-    left: State, right: State, p: Params, tol: float = DEFAULT_TOL
-) -> WaveStructure:
+def solve_riemann(left: State, right: State, p: Params) -> WaveStructure:
     """Solve the two-state problem with ``left`` for x < 0, ``right`` for x > 0.
 
     Waves whose velocity step is below the classification tolerance are
     absent and the adjacent constant states collapse, so on-curve data
     yields exactly one wave and coincident data none.
     """
-    return _structure(left, right, classify(left, right, p, tol)[0], p)
+    return _structure(left, right, classify(left, right, p)[0], p)
 
 
 def _structure(left: State, right: State, region: RegionLabel, p: Params) -> WaveStructure:

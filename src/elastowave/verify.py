@@ -33,7 +33,6 @@ __all__ = [
     "fan_continuity_error",
     "max_rh_residual",
     "all_shocks_admissible",
-    "perturb_shock_speed",
     "WeakFormGrid",
     "weak_residual",
 ]
@@ -137,26 +136,6 @@ def all_shocks_admissible(ws: WaveStructure, p: Params, tol: float = 1e-12) -> b
     )
 
 
-def perturb_shock_speed(
-    ws: WaveStructure, family: WaveFamily, delta: float
-) -> WaveStructure:
-    """Copy of a structure with one shock speed shifted by ``delta``.
-
-    The result violates the jump conditions on purpose; it exists so the
-    audits can be shown to reject invalid solutions.
-    """
-    def bump(w):
-        if isinstance(w, Shock) and w.family is family:
-            return Shock(w.family, w.left, w.right, w.speed + delta)
-        return w
-
-    w1 = bump(ws.wave1) if ws.wave1 is not None else None
-    w2 = bump(ws.wave2) if ws.wave2 is not None else None
-    if w1 is ws.wave1 and w2 is ws.wave2:
-        raise ValueError(f"structure has no shock of family {family}")
-    return WaveStructure(ws.left, w1, ws.middle, w2, ws.right)
-
-
 @dataclass(frozen=True)
 class WeakFormGrid:
     """Sampling window and resolution for the weak-form audit.
@@ -191,14 +170,15 @@ class WeakFormGrid:
         if self.levels < 0:
             raise ValueError("levels must be nonnegative")
 
-    def refined(self, factor: int = 2) -> "WeakFormGrid":
+    def refined(self) -> "WeakFormGrid":
+        """The same window at twice the resolution per axis."""
         return WeakFormGrid(
             self.x_min,
             self.x_max,
             self.t_min,
             self.t_max,
-            self.nx * factor,
-            self.nt * factor,
+            self.nx * 2,
+            self.nt * 2,
             self.levels,
         )
 

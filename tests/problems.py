@@ -1,4 +1,6 @@
-"""Shared fixtures: hand-built golden cases and random problem samplers.
+"""Shared fixtures: hand-built golden cases, random problem samplers and
+test tools (wave-curve line, Riemann invariants, a perturbed structure, a
+brute-force admissible-set scan).
 
 Every golden case carries an independent piecewise evaluator written out
 with literal constants (worked by hand from the wave-curve relations and
@@ -9,13 +11,78 @@ All golden cases use k = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from elastowave import Params, State, WaveFamily, wave_curve_sigma
+from elastowave import Params, Shock, State, WaveFamily, WaveStructure, solve_ibvp
+from elastowave.boundary import _states_match
 
 K1 = Params(1.0)
+
+
+def wave_curve_sigma(base: State, family: WaveFamily, u: float, p: Params) -> float:
+    """Stress on the family's wave-curve line through ``base`` at velocity u.
+
+    Points with u > base.u are on the rarefaction branch, points with
+    u < base.u on the shock branch.
+    """
+    return base.sigma + family.curve_slope(p) * (u - base.u)
+
+
+def riemann_invariants(s: State, p: Params) -> tuple[float, float]:
+    """(sigma - k u, sigma + k u).
+
+    The first is constant across every family-ONE wave, the second
+    across every family-TWO wave; their level sets are the straight
+    wave-curve lines.
+    """
+    return s.sigma - p.k * s.u, s.sigma + p.k * s.u
+
+
+def state_from_invariants(w1: float, w2: float, p: Params) -> State:
+    """Inverse of :func:`riemann_invariants`."""
+    return State(u=(w2 - w1) / (2.0 * p.k), sigma=0.5 * (w1 + w2))
+
+
+def perturb_shock_speed(
+    ws: WaveStructure, family: WaveFamily, delta: float
+) -> WaveStructure:
+    """Copy of a structure with one shock speed shifted by ``delta``.
+
+    The result violates the jump conditions on purpose; it exists so the
+    audits can be shown to reject invalid solutions.
+    """
+    def bump(w):
+        if isinstance(w, Shock) and w.family is family:
+            return Shock(w.family, w.left, w.right, w.speed + delta)
+        return w
+
+    w1 = bump(ws.wave1) if ws.wave1 is not None else None
+    w2 = bump(ws.wave2) if ws.wave2 is not None else None
+    if w1 is ws.wave1 and w2 is ws.wave2:
+        raise ValueError(f"structure has no shock of family {family}")
+    return WaveStructure(ws.left, w1, ws.middle, w2, ws.right)
+
+
+def scan_admissible_set(
+    boundary: State,
+    candidate: State,
+    initials: Iterable[State],
+    p: Params,
+    tol: float = 1e-9,
+) -> list[State]:
+    """Brute-force audit of ``in_admissible_set``.
+
+    Returns every initial state from ``initials`` whose boundary trace
+    matches ``candidate`` within tolerance.
+    """
+    hits = []
+    for z in initials:
+        sol = solve_ibvp(boundary, z, p)
+        if _states_match(sol.trace, candidate, p, tol):
+            hits.append(z)
+    return hits
 
 
 @dataclass(frozen=True)

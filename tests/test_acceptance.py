@@ -23,7 +23,6 @@ from elastowave import (
     l1_distance,
     lax_check,
     on_curve_solution,
-    perturb_shock_speed,
     rh_residual,
     rh_scale,
     sample,
@@ -32,7 +31,6 @@ from elastowave import (
     solve_riemann,
     speed_support,
     viscous_solve,
-    wave_curve_sigma,
     weak_residual,
 )
 from elastowave.cli import main as cli_main
@@ -41,8 +39,10 @@ from problems import (
     GOLDEN_CASES,
     K1,
     REPRESENTATIVES,
+    perturb_shock_speed,
     random_problem,
     sample_points,
+    wave_curve_sigma,
 )
 
 

@@ -5,7 +5,6 @@ from elastowave import (
     CaseLabel,
     Params,
     Rarefaction,
-    Shock,
     State,
     WaveFamily,
     classification_scale,
@@ -15,14 +14,19 @@ from elastowave import (
     on_curve_solution,
     sample,
     sample_many,
-    scan_admissible_set,
     solve_ibvp,
     solve_riemann,
     speed_support,
-    wave_curve_sigma,
 )
 from elastowave.boundary import _states_match
-from problems import GOLDEN_CASES, K1, golden_by_label, random_problem, sample_points
+from problems import (
+    GOLDEN_CASES,
+    K1,
+    random_problem,
+    sample_points,
+    scan_admissible_set,
+    wave_curve_sigma,
+)
 
 
 # ---------------------------------------------------------------- examples
@@ -103,8 +107,9 @@ def test_sonic_standing_shock():
     assert sol.case is CaseLabel.SONIC
     assert sol.resolved_case is CaseLabel.C3B
     assert sol.trace == z  # right flank, by right-continuity
-    # a standing shock still counts as visible (nonnegative speed support)
-    assert sol.visible_waves == (sol.structure.wave1,)
+    # a standing shock has no edge with speed > 0: like a fan ending at
+    # the boundary, it is not visible
+    assert sol.visible_waves == ()
 
 
 def test_sonic_fan_ending_at_boundary():
@@ -180,6 +185,9 @@ def test_resolved_case_locates_trace_at_sonic_ties():
                 sol = solve_ibvp(State(b.u + c, b.sigma), State(z.u + c, z.sigma), p)
                 assert sol.case is CaseLabel.SONIC, (b, z, p.k, v, offset)
                 _assert_trace_where_labelled(sol, p)
+                # visible are exactly the families with an edge of speed > 0
+                reaching = [w.family for w in sol.structure.waves if speed_support(w)[1] > 0.0]
+                assert [w.family for w in sol.visible_waves] == reaching, (b, z, p.k, v, offset)
                 checked += 1
     assert checked > 2000
 
@@ -438,3 +446,7 @@ def test_on_curve_solution_rejects_bad_points():
         on_curve_solution(WaveFamily.ONE, b, z, K1, -0.5, 1.0)
     with pytest.raises(ValueError):
         on_curve_solution(WaveFamily.ONE, b, z, K1, 0.5, 0.0)
+    # a NaN point is outside the quarter plane too
+    for x, t in ((float("nan"), 1.0), (0.5, float("nan"))):
+        with pytest.raises(ValueError):
+            on_curve_solution(WaveFamily.ONE, State(1.5, 0.0), State(2.0, 0.5), K1, x, t)

@@ -1,14 +1,13 @@
 import hashlib
 import json
-import math
 
 import numpy as np
 import pytest
 
-from elastowave import Params, State, WaveFamily, sample, solve_ibvp, wave_curve_sigma
+from elastowave import Params, State, WaveFamily, sample, solve_ibvp
 from elastowave.cli import ConfigError, ProblemConfig, load_config, main, run
 from elastowave.numerics import ViscousConfig
-from problems import GOLDEN_CASES
+from problems import GOLDEN_CASES, wave_curve_sigma
 
 
 def run_cli(tmp_path, name, args):
@@ -338,6 +337,8 @@ def test_unwritable_out_exits_2(tmp_path, capsys, below):
         ({"x_max": np.False_}, "x_max"),
         # nor is a numpy complex, whose real part math.isfinite would take
         ({"u_b": np.complex128(1.5)}, "u_b"),
+        # nx takes a numpy integer, but neither numpy's bool nor a whole float
+        ({"nx": np.True_}, "nx"), ({"nx": np.float64(101.0)}, "nx"), ({"nx": np.int64(1)}, "nx"),
     ],
 )
 def test_problem_config_checks_itself(change, field):
@@ -350,22 +351,23 @@ def test_problem_config_checks_itself(change, field):
 
 
 def test_numpy_scalars_reach_report_as_builtins(tmp_path):
-    # numpy numbers from a Python caller are stored as built-in floats, so
-    # report.json is written whole, with the same bytes as from floats (every
-    # value here is exact in float32)
-    def config(number, out):
-        viscous = ViscousConfig(epsilon=number(0.03125), x_min=0.0, x_max=number(1.5), nx=200,
-                                t_end=number(0.5))
+    # numpy numbers from a Python caller are stored as built-in floats and
+    # ints, so report.json is written whole, with the same bytes as from
+    # built-in numbers (every value here is exact in float32)
+    def config(number, integer, out):
+        viscous = ViscousConfig(epsilon=number(0.03125), x_min=0.0, x_max=number(1.5),
+                                nx=integer(200), t_end=number(0.5))
         return ProblemConfig(k=number(1.0), u_b=number(1.5), sigma_b=0.1, u_0=1.0,
-                             sigma_0=number(-0.5), t=number(0.5), x_max=1.5, nx=20,
+                             sigma_0=number(-0.5), t=number(0.5), x_max=1.5, nx=integer(20),
                              mode="exact+viscous", out=str(tmp_path / out), viscous=viscous)
 
-    cfg = config(np.float32, "f32")
+    cfg = config(np.float32, np.int64, "f32")
     assert type(cfg.k) is float and type(cfg.viscous.epsilon) is float
+    assert type(cfg.nx) is int and type(cfg.viscous.nx) is int
     # a built-in number keeps its type
     assert type(ProblemConfig(k=2, u_b=0, sigma_b=0.0, u_0=0.0, sigma_0=0.0).k) is int
     assert run(cfg) == 0
-    assert run(config(float, "float")) == 0
+    assert run(config(float, int, "float")) == 0
     for name in ("report.json", "samples.csv", "viscous.csv"):
         assert (tmp_path / "f32" / name).read_bytes() == (tmp_path / "float" / name).read_bytes()
 

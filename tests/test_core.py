@@ -11,13 +11,15 @@ from elastowave import (
     Shock,
     State,
     WaveFamily,
-    characteristic_speeds,
-    riemann_invariants,
-    state_from_invariants,
 )
+from problems import riemann_invariants, state_from_invariants
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 speeds = st.floats(min_value=1e-2, max_value=1e3, allow_nan=False)
+
+
+def characteristic_speeds(s, p):
+    return tuple(family.characteristic_speed(s, p) for family in WaveFamily)
 
 
 def test_characteristic_speeds_examples():

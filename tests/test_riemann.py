@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from elastowave import (
     Params,
@@ -10,17 +9,15 @@ from elastowave import (
     fan_state,
     intermediate_state,
     lax_check,
-    rarefaction_state,
     rh_residual,
     rh_scale,
     sample,
     sample_many,
     solve_riemann,
     speed_support,
-    wave_curve_sigma,
     waves_ordered,
 )
-from problems import random_problem
+from problems import random_problem, wave_curve_sigma
 
 P1 = Params(1.0)
 
@@ -77,21 +74,15 @@ def test_fan_state_lands_on_wave_curve():
             )
 
 
-def test_rarefaction_state_range_error():
-    ws = solve_riemann(State(0.0, 0.0), State(2.0, -2.0), P1)
-    fan = ws.wave2
-    assert rarefaction_state(fan, 1.0, P1) == fan.left
-    assert rarefaction_state(fan, 3.0, P1) == fan.right
-    with pytest.raises(ValueError):
-        rarefaction_state(fan, 0.99, P1)
-    with pytest.raises(ValueError):
-        rarefaction_state(fan, 3.01, P1)
-
-
 def test_sample_right_continuous_at_shocks():
     ws = solve_riemann(State(2.0, 0.0), State(0.0, 0.0), P1)
     assert sample(ws, ws.wave1.speed, P1) == ws.middle
     assert sample(ws, ws.wave2.speed, P1) == ws.right
+    # at a fan's edges the flanks come back exactly
+    ws = solve_riemann(State(0.0, 0.0), State(2.0, -2.0), P1)
+    fan = ws.wave2
+    assert sample(ws, fan.xi_lo, P1) == fan.left
+    assert sample(ws, fan.xi_hi, P1) == fan.right
 
 
 def test_fan_edges_sample_to_flanks_exactly():

@@ -10,18 +10,16 @@ from elastowave import (
     WaveFamily,
     WeakFormGrid,
     lax_check,
-    perturb_shock_speed,
     rh_residual,
     rh_scale,
     solve_ibvp,
     solve_riemann,
-    wave_curve_sigma,
     waves_ordered,
     weak_residual,
 )
 from elastowave.riemann import sample_many
 from elastowave.verify import _bump, _bump_deriv, _sigma_xi_slope, _windows
-from problems import K1, REPRESENTATIVES, golden_by_label
+from problems import K1, REPRESENTATIVES, golden_by_label, perturb_shock_speed, wave_curve_sigma
 
 finite = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 speeds = st.floats(min_value=0.05, max_value=10.0, allow_nan=False)
