@@ -29,9 +29,10 @@ sub-case always names the piece of the structure the trace comes from.
 A speed within tolerance of zero (a sonic tie) sets the label SONIC, and
 the sub-case is reported alongside as the resolved case.  The labels
 describe ordered structures only; when the waves overlap
-(``verify.waves_ordered`` fails) they carry no meaning.  The visible
-waves follow the same count: a wave is visible when it has an edge with
-speed > 0.
+(``verify.waves_ordered`` fails) they carry no meaning.  The same pass
+over the edges picks the visible waves: a wave is visible exactly when it
+adds to the count, and a fan that starts at a speed < 0 is clipped to
+its part with speed >= 0.
 
 The boundary value is attained only in the weak sense: the trace
 (the limit of the solution as x -> 0+) ranges over the set of states
@@ -44,6 +45,7 @@ scan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -137,41 +139,36 @@ _SUBCASES: dict[RegionLabel, tuple[CaseLabel, ...]] = {
 }
 
 
-def _case_labels(
+def _place_waves(
     ws: WaveStructure, region: RegionLabel, p: Params
-) -> tuple[CaseLabel, CaseLabel]:
+) -> tuple[CaseLabel, CaseLabel, tuple[Wave, ...]]:
+    """Case label, resolved case and visible waves, from one pass over the
+    wave edges (see the module docstring)."""
     cut = DEFAULT_TOL * max(
         1.0, p.k, abs(ws.left.u), abs(ws.middle.u), abs(ws.right.u)
     )
     positive = 0  # edges with speed > 0
     sonic = False  # some edge within the cut of zero
+    visible: list[Wave] = []
     for w in ws.waves:
         if isinstance(w, Shock):
             v = w.speed
-            positive += v > 0.0
             sonic = sonic or abs(v) <= cut
+            if v > 0.0:
+                positive += 1
+                visible.append(w)
         else:
             lo, hi = w.xi_lo, w.xi_hi
-            positive += (lo > 0.0) + (hi > 0.0)
             sonic = sonic or abs(lo) <= cut or abs(hi) <= cut
-    resolved = _SUBCASES[region][positive]
-    return (CaseLabel.SONIC if sonic else resolved), resolved
-
-
-def _visible_waves(ws: WaveStructure, p: Params) -> tuple[Wave, ...]:
-    out: list[Wave] = []
-    for w in ws.waves:
-        if isinstance(w, Shock):
-            if w.speed > 0.0:
-                out.append(w)
-        else:
-            if w.xi_hi > 0.0:
-                if w.xi_lo >= 0.0:
-                    out.append(w)
-                else:
+            edges = (lo > 0.0) + (hi > 0.0)
+            if edges:
+                positive += edges
+                if lo < 0.0:
                     edge = fan_state(w.left, w.family, 0.0, p)
-                    out.append(Rarefaction(w.family, edge, w.right, 0.0, w.xi_hi))
-    return tuple(out)
+                    w = Rarefaction(w.family, edge, w.right, 0.0, hi)
+                visible.append(w)
+    resolved = _SUBCASES[region][positive]
+    return (CaseLabel.SONIC if sonic else resolved), resolved, tuple(visible)
 
 
 def solve_ibvp(boundary: State, initial: State, p: Params) -> QuarterPlaneSolution:
@@ -182,7 +179,7 @@ def solve_ibvp(boundary: State, initial: State, p: Params) -> QuarterPlaneSoluti
     """
     region, dist = classify(boundary, initial, p)
     ws = _structure(boundary, initial, region, p)
-    case, resolved = _case_labels(ws, region, p)
+    case, resolved, visible = _place_waves(ws, region, p)
     return QuarterPlaneSolution(
         structure=ws,
         region=region,
@@ -190,7 +187,7 @@ def solve_ibvp(boundary: State, initial: State, p: Params) -> QuarterPlaneSoluti
         case=case,
         resolved_case=resolved,
         trace=sample(ws, 0.0, p),
-        visible_waves=_visible_waves(ws, p),
+        visible_waves=visible,
         params=p,
     )
 
@@ -228,7 +225,7 @@ def on_curve_solution(
     directly; this evaluator is independent of the wave-structure solver
     and serves as a regression oracle for it.
     """
-    if not (t > 0.0 and x > 0.0):
+    if not (0.0 < x < math.inf and 0.0 < t < math.inf):
         raise ValueError(f"point (x={x}, t={t}) outside the open quarter plane")
     slope = family.curve_slope(p)
     mismatch = (initial.sigma - boundary.sigma) - slope * (initial.u - boundary.u)

@@ -92,6 +92,8 @@ class ProblemConfig:
             raise ConfigError("mode", f"must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.out, str):
             raise ConfigError("out", f"must be a string, got {self.out!r}")
+        if self.viscous is not None and not isinstance(self.viscous, ViscousConfig):
+            raise ConfigError("viscous", f"must be a ViscousConfig or None, got {self.viscous!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -95,7 +95,11 @@ def speed_support(wave: Wave) -> tuple[float, float]:
 
 
 def sample(ws: WaveStructure, xi: float, p: Params) -> State:
-    """Value of the self-similar solution at xi = x/t (right-continuous)."""
+    """Value of the self-similar solution at xi = x/t (right-continuous).
+
+    The bitwise reference of :func:`sample_many` and the evaluator of the
+    trace, sample(ws, 0.0, p).
+    """
     w2 = ws.wave2
     if w2 is not None:
         if isinstance(w2, Shock):
@@ -116,10 +120,16 @@ def sample(ws: WaveStructure, xi: float, p: Params) -> State:
                 return ws.middle
             if xi > w1.xi_lo:
                 return fan_state(w1.left, WaveFamily.ONE, xi, p)
+    return _left_of_waves(ws)
+
+
+def _left_of_waves(ws: WaveStructure) -> State:
+    """The value left of every wave; with no waves at all (constant data)
+    the right-continuous pick, ``ws.right``."""
+    if ws.wave1 is not None:
         return ws.left
-    if w2 is not None:
+    if ws.wave2 is not None:
         return ws.middle
-    # no waves at all: constant data, right-continuous pick
     return ws.right
 
 
@@ -135,12 +145,7 @@ def sample_many(
     one, which is the order in which :func:`sample` tests.
     """
     xi = np.asarray(xi, dtype=float)
-    if ws.wave1 is not None:
-        first = ws.left
-    elif ws.wave2 is not None:
-        first = ws.middle
-    else:
-        first = ws.right
+    first = _left_of_waves(ws)
     u = np.full(xi.shape, first.u)
     s = np.full(xi.shape, first.sigma)
 

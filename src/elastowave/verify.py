@@ -17,7 +17,7 @@ and those two left-hand sides are the residuals reported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,8 +141,7 @@ class WeakFormGrid:
     """Sampling window and resolution for the weak-form audit.
 
     The window must exclude t = 0; test functions are compactly supported
-    bumps on the window and on a dyadic refinement of it
-    (``levels`` extra levels of 2x2 tiling).
+    bumps on the window and on its 2x2 tiling.
     """
 
     x_min: float
@@ -151,7 +150,6 @@ class WeakFormGrid:
     t_max: float
     nx: int
     nt: int
-    levels: int = 1
 
     def __post_init__(self) -> None:
         if not (
@@ -167,20 +165,10 @@ class WeakFormGrid:
             raise ValueError("grid window is empty")
         if self.nx < 8 or self.nt < 8:
             raise ValueError("grid is degenerate: need at least 8 points per axis")
-        if self.levels < 0:
-            raise ValueError("levels must be nonnegative")
 
     def refined(self) -> "WeakFormGrid":
         """The same window at twice the resolution per axis."""
-        return WeakFormGrid(
-            self.x_min,
-            self.x_max,
-            self.t_min,
-            self.t_max,
-            self.nx * 2,
-            self.nt * 2,
-            self.levels,
-        )
+        return replace(self, nx=2 * self.nx, nt=2 * self.nt)
 
 
 def _bump(z: np.ndarray) -> np.ndarray:
@@ -200,8 +188,12 @@ def _bump_deriv(z: np.ndarray) -> np.ndarray:
     return out
 
 
+# dyadic levels of test-function windows beyond the whole window
+_LEVELS = 1
+
+
 def _windows(grid: WeakFormGrid):
-    for level in range(grid.levels + 1):
+    for level in range(_LEVELS + 1):
         n = 2**level
         dx = (grid.x_max - grid.x_min) / n
         dt = (grid.t_max - grid.t_min) / n

@@ -185,9 +185,17 @@ def test_resolved_case_locates_trace_at_sonic_ties():
                 sol = solve_ibvp(State(b.u + c, b.sigma), State(z.u + c, z.sigma), p)
                 assert sol.case is CaseLabel.SONIC, (b, z, p.k, v, offset)
                 _assert_trace_where_labelled(sol, p)
-                # visible are exactly the families with an edge of speed > 0
-                reaching = [w.family for w in sol.structure.waves if speed_support(w)[1] > 0.0]
-                assert [w.family for w in sol.visible_waves] == reaching, (b, z, p.k, v, offset)
+                # visible are exactly the waves with an edge of speed > 0,
+                # a fan that starts below zero clipped to [0, xi_hi]
+                visible = []
+                for w in sol.structure.waves:
+                    lo, hi = speed_support(w)
+                    if hi > 0.0:
+                        if lo < 0.0:
+                            edge = fan_state(w.left, w.family, 0.0, p)
+                            w = Rarefaction(w.family, edge, w.right, 0.0, hi)
+                        visible.append(w)
+                assert sol.visible_waves == tuple(visible), (b, z, p.k, v, offset)
                 checked += 1
     assert checked > 2000
 
@@ -446,7 +454,8 @@ def test_on_curve_solution_rejects_bad_points():
         on_curve_solution(WaveFamily.ONE, b, z, K1, -0.5, 1.0)
     with pytest.raises(ValueError):
         on_curve_solution(WaveFamily.ONE, b, z, K1, 0.5, 0.0)
-    # a NaN point is outside the quarter plane too
-    for x, t in ((float("nan"), 1.0), (0.5, float("nan"))):
+    # a NaN or infinite point is outside the open quarter plane too
+    nan, inf = float("nan"), float("inf")
+    for x, t in ((nan, 1.0), (0.5, nan), (inf, inf), (1.0, inf), (inf, 1.0)):
         with pytest.raises(ValueError):
             on_curve_solution(WaveFamily.ONE, State(1.5, 0.0), State(2.0, 0.5), K1, x, t)

@@ -339,6 +339,8 @@ def test_unwritable_out_exits_2(tmp_path, capsys, below):
         ({"u_b": np.complex128(1.5)}, "u_b"),
         # nx takes a numpy integer, but neither numpy's bool nor a whole float
         ({"nx": np.True_}, "nx"), ({"nx": np.float64(101.0)}, "nx"), ({"nx": np.int64(1)}, "nx"),
+        # viscous is a ViscousConfig or None, not the dict a JSON file holds
+        ({"mode": "exact+viscous", "viscous": {"epsilon": 0.01}}, "viscous"),
     ],
 )
 def test_problem_config_checks_itself(change, field):

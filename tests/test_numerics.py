@@ -94,16 +94,6 @@ def test_l1_distance_constant_offset():
     assert abs(l1_distance(field, sol) - delta * 2.0) <= 1e-12
 
 
-def test_l1_distance_time_mismatch_rejected():
-    s = State(0.0, 0.0)
-    sol = solve_ibvp(s, s, K1)
-    x = np.linspace(0.0, 1.0, 64)
-    field = ViscousField(x=x, u=np.zeros_like(x), sigma=np.zeros_like(x), t=0.5)
-    with pytest.raises(ValueError):
-        l1_distance(field, sol, t=0.75)
-    assert l1_distance(field, sol, t=0.5) == 0.0
-
-
 def test_viscous_shock_profile_converges_to_exact():
     g = golden_by_label("3a")
     sol = solve_ibvp(g.boundary, g.initial, K1)

@@ -1,0 +1,74 @@
+"""Static checks of the package and script sources, parsed with ast.
+
+They catch what a refactor tends to leave behind: an import that nothing
+uses, and a private module-level def in the package that nothing calls.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "elastowave").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "scripts").glob("*.py"))
+# the package's __init__ imports only to export
+IMPORTERS = [path for path in SOURCES if path.name != "__init__.py"]
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names a module reads, and the entries of its ``__all__``.  Quoted
+    annotations are not read: under ``from __future__ import annotations``
+    none is needed."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts}
+    return used
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [(a.asname or a.name).split(".")[0] for a in node.names]
+    return names
+
+
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    unused = [name for name in _imported_names(tree) if name not in _used_names(tree)]
+    assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def test_every_private_def_is_referenced():
+    referenced = set()
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {a.name for a in node.names}
+    orphans = [
+        f"{path.name}:{node.name}"
+        for path in PACKAGE
+        for node in _tree(path).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert not orphans, f"private defs that nothing references: {orphans}"

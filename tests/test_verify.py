@@ -190,7 +190,7 @@ def _weak_reference_structures():
 @pytest.mark.parametrize("ws", _weak_reference_structures())
 def test_weak_residual_matches_dense_reference(ws):
     # nx != nt so that a transposed bilinear form cannot pass
-    grid = WeakFormGrid(0.03, 2.43, 0.35, 1.15, 48, 40, levels=1)
+    grid = WeakFormGrid(0.03, 2.43, 0.35, 1.15, 48, 40)
     got = weak_residual(ws, K1, grid)
     want = _dense_weak_residual(ws, K1, grid)
     assert max(got) > 1e-6  # a vanishing residual would compare nothing
