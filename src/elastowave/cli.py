@@ -154,7 +154,7 @@ def _wave_json(w: Wave) -> dict:
         "family": w.family.value,
         "left": _state_json(w.left),
         "right": _state_json(w.right),
-        "strength": w.strength,
+        "strength": abs(w.right.u - w.left.u),
     }
     if isinstance(w, Shock):
         base["kind"] = "shock"

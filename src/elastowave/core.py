@@ -15,6 +15,7 @@ near u - k, waves of family TWO with speeds near u + k.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,7 +31,11 @@ __all__ = [
 
 
 def _finite(name: str, value: float) -> float:
-    value = float(value)
+    if type(value) is not float:
+        # bool is an int subclass, and float() would take a str
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
@@ -106,10 +111,6 @@ class Shock:
         if self.left == self.right:
             raise ValueError("shock flanks must differ; zero-strength waves are absent")
 
-    @property
-    def strength(self) -> float:
-        return abs(self.right.u - self.left.u)
-
 
 @dataclass(frozen=True)
 class Rarefaction:
@@ -126,10 +127,6 @@ class Rarefaction:
         _finite("xi_hi", self.xi_hi)
         if self.xi_lo > self.xi_hi:
             raise ValueError(f"fan interval is empty: [{self.xi_lo}, {self.xi_hi}]")
-
-    @property
-    def strength(self) -> float:
-        return abs(self.right.u - self.left.u)
 
 
 Wave = Shock | Rarefaction

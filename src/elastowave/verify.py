@@ -16,12 +16,12 @@ and those two left-hand sides are the residuals reported here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import Params, Rarefaction, Shock, State, WaveFamily, WaveStructure
+from .numerics import _check_number
 from .riemann import sample_many, speed_support
 
 __all__ = [
@@ -141,7 +141,9 @@ class WeakFormGrid:
     """Sampling window and resolution for the weak-form audit.
 
     The window must exclude t = 0; test functions are compactly supported
-    bumps on the window and on its 2x2 tiling.
+    bumps on the window and on its 2x2 tiling.  The window bounds must be
+    finite numbers and nx, nt integers >= 8; a bad value raises
+    ConfigError, a ValueError naming the field.
     """
 
     x_min: float
@@ -152,19 +154,14 @@ class WeakFormGrid:
     nt: int
 
     def __post_init__(self) -> None:
-        if not (
-            math.isfinite(self.x_min)
-            and math.isfinite(self.x_max)
-            and math.isfinite(self.t_min)
-            and math.isfinite(self.t_max)
-        ):
-            raise ValueError("grid window must be finite")
+        for name in ("x_min", "x_max", "t_min", "t_max"):
+            object.__setattr__(self, name, _check_number(name, getattr(self, name)))
+        for name in ("nx", "nt"):
+            object.__setattr__(self, name, _check_number(name, getattr(self, name), min_int=8))
         if self.t_min <= 0.0:
             raise ValueError(f"t_min must be positive, got {self.t_min}")
         if self.x_min >= self.x_max or self.t_min >= self.t_max:
             raise ValueError("grid window is empty")
-        if self.nx < 8 or self.nt < 8:
-            raise ValueError("grid is degenerate: need at least 8 points per axis")
 
     def refined(self) -> "WeakFormGrid":
         """The same window at twice the resolution per axis."""

@@ -82,6 +82,24 @@ def test_non_finite_rejected(bad):
         Params(bad)
 
 
+@pytest.mark.parametrize("bad", ["1.5", True, np.True_, None, 1 + 0j, np.complex128(1.0)])
+def test_non_real_rejected(bad):
+    # float() would turn "1.5" into 1.5 and True into 1.0
+    with pytest.raises(ValueError, match="real number"):
+        State(bad, 0.0)
+    with pytest.raises(ValueError, match="real number"):
+        State(0.0, bad)
+    with pytest.raises(ValueError, match="real number"):
+        Params(bad)
+
+
+def test_real_numbers_are_stored_as_float():
+    s = State(np.float32(0.5), 2)
+    p = Params(np.int64(3))
+    assert (type(s.u), type(s.sigma), type(p.k)) == (float, float, float)
+    assert (s, p) == (State(0.5, 2.0), Params(3.0))
+
+
 @pytest.mark.parametrize("k", [0.0, -1.0])
 def test_nonpositive_k_rejected(k):
     with pytest.raises(ValueError):

@@ -204,11 +204,50 @@ def test_front_position_interpolates():
         front_position(field, 5.0)
 
 
+def test_front_position_skips_a_flat_run_on_the_level():
+    # u sits on the level for three points, then crosses it between x[3] and x[4];
+    # the first pair that changes is (x[2], x[3]), and its root is x[2] itself
+    x = np.linspace(0.0, 1.0, 11)
+    u = np.array([0.5, 0.5, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    field = ViscousField(x=x, u=u, sigma=np.zeros_like(x), t=1.0)
+    assert front_position(field, 0.5) == x[2]
+    # a flat run touching the level after the profile left it
+    u = np.array([1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    field = ViscousField(x=x, u=u, sigma=np.zeros_like(x), t=1.0)
+    assert front_position(field, 0.5) == x[1]
+
+
 def test_field_csv_rejects_columns_of_unequal_length(tmp_path):
-    field = ViscousField(x=np.arange(3.0), u=np.zeros(2), sigma=np.zeros(3), t=1.0)
     with pytest.raises(ValueError, match="length"):
+        field = ViscousField(x=np.arange(3.0), u=np.zeros(2), sigma=np.zeros(3), t=1.0)
         write_field_csv(field, tmp_path / "field.csv")
     assert not (tmp_path / "field.csv").exists()
+
+
+def test_field_refuses_columns_that_are_not_one_dimensional_and_equal():
+    x = np.linspace(0.0, 2.0, 11)
+    for u, sigma in (
+        (np.zeros(1), np.zeros(1)),  # would broadcast against x in l1_distance
+        (np.zeros(11), np.zeros(10)),
+        (np.zeros((1, 11)), np.zeros(11)),
+        (np.float64(0.0), np.zeros(11)),
+    ):
+        with pytest.raises(ValueError, match="length"):
+            ViscousField(x=x, u=u, sigma=sigma, t=1.0)
+    with pytest.raises(ValueError):
+        ViscousField(x=x.reshape(1, 11), u=x.reshape(1, 11), sigma=x.reshape(1, 11), t=1.0)
+    # zero rows are a field too: the CSV writer takes them
+    ViscousField(x=np.zeros(0), u=np.zeros(0), sigma=np.zeros(0), t=1.0)
+
+
+def test_diverging_run_is_refused():
+    # 8a at eps = 1e-4: max|u| is 15.1 at step 200, passes the bound 33 after
+    # step 232 and reaches 99.1 by t_end, at step 268
+    g = golden_by_label("8a")
+    assert (g.boundary, g.initial) == (State(1.3, -0.2), State(0.9, 1.0))
+    cfg = ViscousConfig(epsilon=1e-4, x_min=-1.0, x_max=2.2, nx=1000, t_end=0.05)
+    with pytest.raises(RuntimeError, match="diverged"):
+        viscous_solve(g.boundary, g.initial, K1, cfg)
 
 
 def test_field_csv_round_trip(tmp_path):

@@ -17,6 +17,7 @@ from elastowave import (
     waves_ordered,
     weak_residual,
 )
+from elastowave.numerics import ConfigError
 from elastowave.riemann import sample_many
 from elastowave.verify import _bump, _bump_deriv, _sigma_xi_slope, _windows
 from problems import K1, REPRESENTATIVES, golden_by_label, perturb_shock_speed, wave_curve_sigma
@@ -97,6 +98,18 @@ def test_weak_grid_validation():
         WeakFormGrid(1.0, 0.0, 0.1, 1.0, 64, 64)  # empty window
     with pytest.raises(ValueError):
         WeakFormGrid(0.0, 1.0, 0.1, 1.0, 4, 64)  # degenerate
+
+
+def test_weak_grid_refuses_what_is_not_a_number_naming_the_field():
+    base = dict(x_min=0.0, x_max=1.0, t_min=0.1, t_max=1.0, nx=16, nt=16)
+    for name, bad in (("nx", 16.0), ("nx", True), ("nt", np.float64(16)), ("nt", 7),
+                      ("x_min", float("nan")), ("t_max", np.inf), ("x_max", "1.0")):
+        with pytest.raises(ConfigError) as info:
+            WeakFormGrid(**{**base, name: bad})
+        assert info.value.field == name
+    # numpy numbers are stored as the built-in int or float
+    grid = WeakFormGrid(np.float64(0.0), 1, 0.1, 1.0, np.int64(16), 16)
+    assert (type(grid.x_min), type(grid.x_max), type(grid.nx)) == (float, int, int)
 
 
 GRID = WeakFormGrid(0.03, 2.43, 0.35, 1.15, 200, 200)
