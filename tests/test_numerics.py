@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +250,118 @@ def test_diverging_run_is_refused():
     cfg = ViscousConfig(epsilon=1e-4, x_min=-1.0, x_max=2.2, nx=1000, t_end=0.05)
     with pytest.raises(RuntimeError, match="diverged"):
         viscous_solve(g.boundary, g.initial, K1, cfg)
+
+
+# the oracle_sweep problems, on its full-plane window and on the quarter plane
+_DIGEST_LABELS = ("3a", "4a", "5a", "6a", "7a", "8a")
+_DIGEST_WINDOWS = {"full": (-1.0, 2.2), "quarter": (0.0, 2.2)}
+_DIGEST_EPS = (0.02, 0.01, 0.005, 0.0025)
+
+
+def _digest_runs():
+    """name -> (boundary, initial, params, config) of every pinned viscous run."""
+    runs = {}
+    for label in _DIGEST_LABELS:
+        g = golden_by_label(label)
+        for window, (x_min, x_max) in _DIGEST_WINDOWS.items():
+            for eps in _DIGEST_EPS:
+                cfg = ViscousConfig(epsilon=eps, x_min=x_min, x_max=x_max, nx=200, t_end=0.1)
+                runs[f"{label}-{window}-eps{eps}"] = (g.boundary, g.initial, K1, cfg)
+    g = golden_by_label("3a")
+    runs["3a-full-k1.7"] = (
+        g.boundary, g.initial, Params(1.7),
+        ViscousConfig(epsilon=0.01, x_min=-1.0, x_max=2.2, nx=200, t_end=0.1),
+    )
+    runs["3a-full-nx16"] = (
+        g.boundary, g.initial, K1,
+        ViscousConfig(epsilon=0.02, x_min=-1.0, x_max=2.2, nx=16, t_end=0.5),
+    )
+    return runs
+
+
+def _field_digest(field):
+    """sha256 over the bytes of x, u and sigma, in that order."""
+    h = hashlib.sha256()
+    for column in (field.x, field.u, field.sigma):
+        h.update(np.ascontiguousarray(column, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of x, u and sigma of every pinned run.  A change to the viscous
+# step is meant to keep these bytes; if one changes on purpose, re-pin it
+# here and say why in the change log.
+_VISCOUS_DIGESTS = {
+    "3a-full-eps0.02": "4c4fc531437cf0fc6c9a08895b2d677f1790961426dcdff89cd157f66606ab4e",
+    "3a-full-eps0.01": "309fd8b13ab71632b3df70bb37452454364930d2b221c4202ade383983215317",
+    "3a-full-eps0.005": "0d72dd5c7cc29bf327bb60f8a06e94da8a484e0a541fc6c394ea1b35d398c8ca",
+    "3a-full-eps0.0025": "4531b7f3ed184c48e331bd989f255bc2ab0ce0b900946415f823f3e6b4b58611",
+    "3a-quarter-eps0.02": "a8af6b35153e0b5d8a2ad7d708e390925595dd9ae0c5f73cf3d63a0b1f01e078",
+    "3a-quarter-eps0.01": "ffc293553fd4f68262913fc8239ecda1aa14d96a63d4983ccaafeb4f4cc368e0",
+    "3a-quarter-eps0.005": "62f97376860455a518b7738b10a62ed1e286453ebfc389ec6dbdfe020610ae50",
+    "3a-quarter-eps0.0025": "1c41c4402d1d2453902cefcb87b91c761e52bd0b404099ee05023088301b7c8d",
+    "4a-full-eps0.02": "7646bca6bd9cec7d8b6f0f8464f21b7079b0afb3c87ab5046a6b99f50c4400ea",
+    "4a-full-eps0.01": "20b1ec349a5bc7d10360d848b03249214ac8f13cc43c0dcf95ce720ff82e9b28",
+    "4a-full-eps0.005": "324b3d6b0f4abf131b422baac336525175588a53ed2afce0834bbf2e7a905e85",
+    "4a-full-eps0.0025": "539fd8f81b1743aa4ab43d386e8400e1a436927467599f54629ad958c9c07b2c",
+    "4a-quarter-eps0.02": "09b8669a22276b061185b00317269367893ce5a6931f3eac67d440780650b852",
+    "4a-quarter-eps0.01": "ddef7521551647db43c65f4abbc3cf07ef9764773c9101b35f411c88b31c1e63",
+    "4a-quarter-eps0.005": "ec97c7e2a15c2368d6dd2843ea832f67a0ef763251a3b78ee8fa0e3355cec8fa",
+    "4a-quarter-eps0.0025": "8766ec9f0200fd0d196dd706ed582d148a8aa2b69b331f974dc4ddb9e9fd0117",
+    "5a-full-eps0.02": "1320fd465a68f13e0038755ca4c90ab8d2aebf134a75732120ddf9d62154051c",
+    "5a-full-eps0.01": "446be599761b272b496ba419c40b4b51e42ee12b209134fefdf0cfd9a616ad1b",
+    "5a-full-eps0.005": "e90b570b0497f14db2b4f36d9531313821851d6c508a971b05e5c019e56a8e23",
+    "5a-full-eps0.0025": "6dad85ca0f99060bd040867cccd88d34fdef8c840a1b7b15bc66eb0e73354706",
+    "5a-quarter-eps0.02": "0ad97a839f5728aa8465e8820646887bc24f749202326996bbb6b394b47be211",
+    "5a-quarter-eps0.01": "318ccc46527537e33c209d39d9ad240cc7cdb4cc521215a10b08c2e7465becce",
+    "5a-quarter-eps0.005": "6dfe27a3b30e52de2f56a0c8140ca76f489a211229c94b630cb5147057fe9c05",
+    "5a-quarter-eps0.0025": "e18e9a037b12c358e1461fdb2e0d272d413d2a45a8e940ece80b0c9e569da2c8",
+    "6a-full-eps0.02": "e3eb6611999b833f79c6038e5157de47cfc4fd623d999ef5d60b1f8361301b61",
+    "6a-full-eps0.01": "3e653fb35dfa3c9201526084dd3cd9b6268ea5b14c235482e4655654d3e95d0a",
+    "6a-full-eps0.005": "09765611023284de58852fe34e6df7def1d25657652d4d29840b1a348447a43d",
+    "6a-full-eps0.0025": "c6960ab9721dd0306e292bdee6f8edce827d91069798060ca67e5341ea42f5df",
+    "6a-quarter-eps0.02": "49cedeca935c3d1b85d2a137acb62c93e65760cfa3e5a4bf8ed45eab8d7bfdb4",
+    "6a-quarter-eps0.01": "a1289c5ad439b80a626650018aef1cc5ad4a8945893514ae7196b252a8ce99a8",
+    "6a-quarter-eps0.005": "5d9ce01fc6d38e40d76a7bdd3b687be09e3878f24fec7ec71e69dcf47c4f5832",
+    "6a-quarter-eps0.0025": "db0a6024a06da0e7e229ff3974aeafd176e973ad2527d9009ea9347ea7c052fd",
+    "7a-full-eps0.02": "d8cb84acda8ff87524d36a78756c884000044a42499945c0400342eeb8824e33",
+    "7a-full-eps0.01": "ad38141c7204c778e7d220292abf702a51d4d54688b9a8d98e0c44817052a9be",
+    "7a-full-eps0.005": "57befb00b2732e1e19754af52a820daf9afed43b2c48be0e63a1cf65585f1a85",
+    "7a-full-eps0.0025": "2c7764bd20c649447444dd0944d82f3b99365d5d74f55ddfc29e184518fedd01",
+    "7a-quarter-eps0.02": "eedf7e7a38fa57bedae029423de9ed2ff6ff9bde1ceb0c022c01cc58e596061f",
+    "7a-quarter-eps0.01": "c6eee55ec33cddc2337b05e2d4b60e185d349655346b3243ab91efbbafa030c9",
+    "7a-quarter-eps0.005": "5aa0410073db03b2615fda19f1077f72ef83bc84a460065dd29f5d33c074a69c",
+    "7a-quarter-eps0.0025": "418c0f5d5d7d81c7eb41aa7e4e5c1c953cb16f5cf3b454db106861b5da3e44e6",
+    "8a-full-eps0.02": "a6dbb1e031977b02ed50f162a34de4813768575ebc920ca4be6cc0bf3096007a",
+    "8a-full-eps0.01": "0cae2ba2780cefd093a7327e2fe5617059f759a3f98ece037d70511c690c2b27",
+    "8a-full-eps0.005": "7407a20be3db74774389b500099376fbf96ffcdfb436b36421f4d186299365fa",
+    "8a-full-eps0.0025": "49e80781452a24be7a83246eb5c2d9fdabe2a1c47feef41e25b812f607beddee",
+    "8a-quarter-eps0.02": "b1bf2964fd083b53244a633607e3a045721c6f0e89128c2c4c3c6147c537730f",
+    "8a-quarter-eps0.01": "5c5afc99c5c815654a5569d46c268a8b7b319a9d1407ef2b704882b0db8495c8",
+    "8a-quarter-eps0.005": "044b3e5a4a144a62e95bdbb0dfba7b61428c82845f002920a670e43e523d1c2f",
+    "8a-quarter-eps0.0025": "cf33b6fd889f30e566438a2708ce9fbec2e9ad5e43635f7dbb01dc4113413772",
+    "3a-full-k1.7": "77a87f347b32e421d1170a837b02244ae0b5c0ad4f64b55fef03187423f591c2",
+    "3a-full-nx16": "815fc2729cb96149c30c0aec96c9299ca604819387d555dd7894928991cc660a",
+}
+
+
+@pytest.mark.parametrize("name", list(_digest_runs()))
+def test_viscous_digests_are_pinned(name):
+    boundary, initial, p, cfg = _digest_runs()[name]
+    assert _field_digest(viscous_solve(boundary, initial, p, cfg)) == _VISCOUS_DIGESTS[name]
+
+
+def test_sigma_shift_near_overflow_stays_finite_and_silent():
+    # sigma -> sigma + c maps solutions to solutions, so a huge common shift
+    # of both sigmas must not reach the u row or overflow anywhere
+    g = golden_by_label("3a")
+    shift = 1e307
+    boundary = State(g.boundary.u, g.boundary.sigma + shift)
+    initial = State(g.initial.u, g.initial.sigma + shift)
+    cfg = ViscousConfig(epsilon=0.01, x_min=-1.0, x_max=2.2, nx=200, t_end=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = viscous_solve(boundary, initial, K1, cfg)
+    assert np.all(np.isfinite(field.u)) and np.all(np.isfinite(field.sigma))
 
 
 def test_field_csv_round_trip(tmp_path):
