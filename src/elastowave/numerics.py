@@ -128,48 +128,75 @@ def viscous_solve(
     every step, and on the field it returns, max|u| is compared against
     10 (1 + max(|u_b|, |u_0|) + k): a larger or NaN value raises
     RuntimeError, as does a step size that underflows to zero.
+
+    u and sigma lie end to end in one flat array w = [u, sigma], so each
+    difference, sum and product of a step is one contiguous pass over both,
+    written into buffers made once before the loop.  The two cells at the
+    seam, u's last and sigma's first, are boundary cells that every step
+    resets; the difference across the seam is set to zero, so that no value
+    mixes u with sigma.
     """
-    x = np.linspace(cfg.x_min, cfg.x_max, cfg.nx)
+    nx = cfg.nx
+    x = np.linspace(cfg.x_min, cfg.x_max, nx)
     dx = x[1] - x[0]
-    # rows u and sigma of one array, so each step is one pass over both
-    w = np.empty((2, cfg.nx))
-    w[0] = np.where(x < 0.0, boundary.u, initial.u)
-    w[1] = np.where(x < 0.0, boundary.sigma, initial.sigma)
+    w = np.empty(2 * nx)
+    u, sigma = w[:nx], w[nx:]
+    u[:] = np.where(x < 0.0, boundary.u, initial.u)
+    sigma[:] = np.where(x < 0.0, boundary.sigma, initial.sigma)
     left = np.array([boundary.u, boundary.sigma])
-    w[:, 0] = left
-    u = w[0]
+    first, last, before_last = w[::nx], w[nx - 1 :: nx], w[nx - 2 :: nx]
+    first[:] = left
 
     eps = cfg.epsilon
     diffusion = eps / (dx * dx)
+    two_dx = 2.0 * dx
     # the sigma_x term of the u equation and the k^2 u_x term of the sigma one
-    coupling = np.array([[1.0], [p.k * p.k]]) / (2.0 * dx)
+    coupling_u, coupling_sigma = 1.0 / two_dx, (p.k * p.k) / two_dx
     bound = 10.0 * (1.0 + max(abs(boundary.u), abs(initial.u)) + p.k)
+
+    # d[j] = w[j+1] - w[j]; central, rhs, adv and term belong to cell j+1,
+    # so u's interior is [:nx-2] of them and sigma's is [nx:]
+    abs_u = np.empty(nx)
+    d = np.empty(2 * nx - 1)
+    central, rhs, term = (np.empty(2 * nx - 2) for _ in range(3))
+    adv = np.zeros(2 * nx - 2)  # zero at the seam cells
+    d1, d0, inner = d[1:], d[:-1], w[1:-1]
+    adv_u, adv_sigma, u_inner = adv[: nx - 2], adv[nx:], u[1:-1]
+    central_u, central_sigma = central[: nx - 2], central[nx:]
+    term_u, term_sigma = term[: nx - 2], term[nx:]
     t = 0.0
     while True:
-        umax = float(np.max(np.abs(u)))
+        umax = float(np.abs(u, out=abs_u).max())
         if not umax <= bound:  # a NaN fails this too
             raise RuntimeError(
                 f"viscous run diverged at t={t:.6g} (max |u| = {umax:.3g} > {bound:.3g}); "
                 "the step rule needs a smaller cfl for this data"
             )
         if t >= cfg.t_end:
-            return ViscousField(x=x, u=w[0], sigma=w[1], t=cfg.t_end)
+            return ViscousField(x=x, u=u, sigma=sigma, t=cfg.t_end)
         amax = umax + p.k
         dt = min(cfg.cfl * dx / amax, dx * dx / (4.0 * eps), cfg.t_end - t)
         if not dt > 0.0:
             raise RuntimeError(
                 f"step size collapsed at t={t:.6g} (max speed {amax:.6g})"
             )
-        d = w[:, 1:] - w[:, :-1]
-        central = d[:, 1:] + d[:, :-1]
-        rhs = (
-            diffusion * (d[:, 1:] - d[:, :-1])
-            - (u[1:-1] / (2.0 * dx)) * central
-            + coupling * central[::-1]
-        )
-        w[:, 1:-1] += dt * rhs
-        w[:, 0] = left
-        w[:, -1] = w[:, -2]
+        np.subtract(w[1:], w[:-1], out=d)
+        d[nx - 1] = 0.0
+        np.add(d1, d0, out=central)
+        # rhs = diffusion (d1 - d0) - (u / 2dx) central + coupling (other row's central)
+        np.subtract(d1, d0, out=rhs)
+        np.multiply(rhs, diffusion, out=rhs)
+        np.divide(u_inner, two_dx, out=adv_u)
+        adv_sigma[:] = adv_u
+        np.multiply(adv, central, out=term)
+        np.subtract(rhs, term, out=rhs)
+        np.multiply(central_sigma, coupling_u, out=term_u)
+        np.multiply(central_u, coupling_sigma, out=term_sigma)
+        np.add(rhs, term, out=rhs)
+        np.multiply(rhs, dt, out=rhs)
+        np.add(inner, rhs, out=inner)
+        first[:] = left
+        last[:] = before_last
         t += dt
 
 
