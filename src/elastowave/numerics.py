@@ -103,8 +103,9 @@ class ViscousConfig:
 class ViscousField:
     """Snapshot of a solution at time t on a uniform grid.
 
-    x, u and sigma must be 1-D arrays of one length (zero rows allowed);
-    anything else raises ValueError on construction.
+    x, u and sigma must be 1-D arrays of one length (zero rows allowed),
+    x finite and strictly increasing, and t finite and > 0; anything else
+    raises ValueError on construction.
     """
 
     x: np.ndarray
@@ -116,6 +117,14 @@ class ViscousField:
         shapes = [np.shape(c) for c in (self.x, self.u, self.sigma)]
         if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
             raise ValueError(f"x, u, sigma must be 1-D and of one length, got shapes {shapes}")
+        if not (math.isfinite(self.t) and self.t > 0.0):
+            raise ValueError(f"t must be finite and > 0, got {self.t!r}")
+        x = np.asarray(self.x)
+        # strictly increasing between finite ends makes every value finite
+        if x.size and not (
+            math.isfinite(x[0]) and math.isfinite(x[-1]) and (x[1:] > x[:-1]).all()
+        ):
+            raise ValueError("x must be finite and strictly increasing")
 
 
 def viscous_solve(

@@ -102,7 +102,8 @@ def waves_ordered(ws: WaveStructure, tol: float = 0.0) -> bool:
 
 
 def fan_continuity_error(ws: WaveStructure, p: Params) -> float:
-    """Largest mismatch between a fan edge value and its flanking state."""
+    """Largest mismatch between a fan edge value and its flanking state;
+    NaN if any mismatch is NaN."""
     err = 0.0
     for w in ws.waves:
         if not isinstance(w, Rarefaction):
@@ -112,19 +113,28 @@ def fan_continuity_error(ws: WaveStructure, p: Params) -> float:
             sigma = w.left.sigma + w.family.curve_slope(p) * (
                 xi - w.family.characteristic_speed(w.left, p)
             )
-            err = max(err, abs(u - flank.u), abs(sigma - flank.sigma))
+            for term in (abs(u - flank.u), abs(sigma - flank.sigma)):
+                if not term <= err:
+                    if term != term:  # max() would keep err against a NaN
+                        return term
+                    err = term
     return err
 
 
 def max_rh_residual(ws: WaveStructure, p: Params) -> float:
-    """Largest scaled jump-condition residual over the shocks of a structure."""
+    """Largest scaled jump-condition residual over the shocks of a
+    structure; NaN if any residual is NaN."""
     worst = 0.0
     for w in ws.waves:
         if not isinstance(w, Shock):
             continue
         r = rh_residual(w.left, w.right, w.speed, p)
         scale = rh_scale(w.left, w.right, w.speed, p)
-        worst = max(worst, abs(r.r_momentum) / scale, abs(r.r_stress) / scale)
+        for term in (abs(r.r_momentum) / scale, abs(r.r_stress) / scale):
+            if not term <= worst:
+                if term != term:  # max() would keep worst against a NaN
+                    return term
+                worst = term
     return worst
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -384,6 +385,28 @@ def test_unordered_structure_exits_3(tmp_path, capsys):
     assert "verification failure" in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
     assert report["verification"]["waves_ordered"] is False
+
+
+def test_nan_residual_fails_verification(tmp_path, capsys):
+    # a two-shock problem scaled by 2^511: its stress residual overflows to
+    # NaN, which must fail the gate instead of reading as 0.0
+    code, out = run_cli(
+        tmp_path, "nan",
+        ["--k", "6.703903964971299e+153", "--ub", "6.703903964971299e+153", "--sb", "0",
+         "--u0=-3.3519519824856493e+153", "--s0=-8.98846567431158e+306"],
+    )
+    assert code == 3
+    assert "verification failure" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert math.isnan(report["verification"]["max_rh_residual"])
+
+
+def test_collapsed_sample_grid_exits_3(tmp_path, capsys):
+    # x_max / nx underflows, so the grid is not strictly increasing
+    code, out = run_cli(tmp_path, "tiny", [*_PROBLEM_FLAGS, "--xmax", "5e-324"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: x must be finite and strictly increasing")
+    assert not (out / "samples.csv").exists()
 
 
 def test_unknown_config_field_rejected(tmp_path):

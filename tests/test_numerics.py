@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -242,6 +243,33 @@ def test_field_refuses_columns_that_are_not_one_dimensional_and_equal():
     ViscousField(x=np.zeros(0), u=np.zeros(0), sigma=np.zeros(0), t=1.0)
 
 
+def test_field_refuses_a_time_or_grid_that_is_not_a_snapshot():
+    # on the exact 3a samples at t = 1, on the CLI's default grid, the L1
+    # distance is 0; with t = nan, -1 or 0, or x reversed, l1_distance gave
+    # 2.03, 2.03, 0.34 and -0.69 before such fields were refused
+    g = golden_by_label("3a")
+    sol = solve_ibvp(g.boundary, g.initial, K1)
+    x = np.arange(1, 102) * 2.0 / 101
+    u, s = sample_many(sol.structure, x, K1)
+    assert l1_distance(ViscousField(x=x, u=u, sigma=s, t=1.0), sol) == 0.0
+    for t in (math.nan, -1.0, 0.0, math.inf, -0.0):
+        with pytest.raises(ValueError, match="t must be finite and > 0"):
+            ViscousField(x=x, u=u, sigma=s, t=t)
+    bad_grids = {
+        "reversed": x[::-1],
+        "repeated": np.r_[x[:10], x[9:-1]],
+        "nan": np.r_[x[:10], math.nan, x[11:]],
+        "inf end": np.r_[x[:-1], math.inf],
+        "-inf start": np.r_[-math.inf, x[1:]],
+        "one nan": np.array([math.nan]),
+    }
+    for name, grid in bad_grids.items():
+        with pytest.raises(ValueError, match="x must be finite and strictly increasing"):
+            ViscousField(x=grid, u=u[: grid.size], sigma=s[: grid.size], t=1.0)
+    # one finite row is a field
+    ViscousField(x=x[:1], u=u[:1], sigma=s[:1], t=1.0)
+
+
 def test_diverging_run_is_refused():
     # 8a at eps = 1e-4: max|u| is 15.1 at step 200, passes the bound 33 after
     # step 232 and reaches 99.1 by t_end, at step 268
@@ -403,6 +431,8 @@ def _exact_two_fan_field():
 
 # -0.0 next to 0.0: equal values with different reprs
 _EDGE_COLUMN = [0.0, -0.0, -0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-5, 1e16, 0.1]
+# a field's x is finite and strictly increasing: the edges such a column has
+_EDGE_X = [-1e16, -0.1, -1e-5, -5e-324, -0.0, 5e-324, 1e-5, 0.1, 1.0, 1e16, 1e300]
 
 
 def _byte_case_field(name):
@@ -413,10 +443,12 @@ def _byte_case_field(name):
         return _exact_two_fan_field()
     if name == "edge-column":
         edge = np.array(_EDGE_COLUMN)
-        return ViscousField(x=edge, u=edge[::-1].copy(), sigma=np.roll(edge, 3), t=1.0)
+        return ViscousField(
+            x=np.array(_EDGE_X), u=edge[::-1].copy(), sigma=np.roll(edge, 3), t=1.0
+        )
     # columns of a row-major table are strided, non-contiguous views
     exact = _exact_two_fan_field()
-    table = np.column_stack([exact.x, exact.u, exact.sigma])[::-3]
+    table = np.column_stack([exact.x, exact.u, exact.sigma])[::3]
     assert not table[:, 1].flags.c_contiguous
     return ViscousField(x=table[:, 0], u=table[:, 1], sigma=table[:, 2], t=1.0)
 
@@ -430,16 +462,20 @@ def test_field_csv_bytes_match_csv_module(tmp_path, name):
 # often equal values with different bits, such as 0.0 and -0.0
 _values = st.one_of(st.sampled_from(_EDGE_COLUMN), st.floats(width=64))
 _runs = st.lists(st.tuples(_values, st.integers(1, 6)), max_size=25)
+# a field's x: distinct finite values in increasing order
+_grid = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False), unique=True, max_size=150
+).map(sorted)
 
 
 def _column(runs):
     return np.repeat([v for v, _ in runs], [n for _, n in runs]).astype(np.float64)
 
 
-@given(_runs, _runs, _runs)
+@given(_grid, _runs, _runs)
 @settings(max_examples=200, deadline=None)
-def test_field_csv_bytes_match_csv_module_on_runs(tmp_path_factory, x_runs, u_runs, s_runs):
-    x, u, s = _column(x_runs), _column(u_runs), _column(s_runs)
+def test_field_csv_bytes_match_csv_module_on_runs(tmp_path_factory, x_grid, u_runs, s_runs):
+    x, u, s = np.array(x_grid, dtype=np.float64), _column(u_runs), _column(s_runs)
     n = min(x.size, u.size, s.size)
     field = ViscousField(x=x[:n], u=u[:n], sigma=s[:n], t=1.0)
     _assert_csv_bytes_match_reference(field, tmp_path_factory.mktemp("csv"))

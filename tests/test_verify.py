@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,9 @@ from elastowave import (
     State,
     WaveFamily,
     WeakFormGrid,
+    fan_continuity_error,
     lax_check,
+    max_rh_residual,
     rh_residual,
     rh_scale,
     solve_ibvp,
@@ -43,6 +48,42 @@ def test_rh_residual_perturbed_speed():
     r = rh_residual(State(2.0, 0.0), State(1.0, -1.0), 0.6, K1)
     assert abs(r.r_momentum - 0.1) <= 1e-15
     assert r.r_stress != 0.0
+
+
+# (k, u_b, sigma_b, u_0, sigma_0) of the two-shock problem (1, 1, 0, -0.5, -0.2)
+# under (u, sigma, k) -> (a u, a^2 sigma, a k) with a = 2^511
+SCALED_TWO_SHOCKS = (6.703903964971299e153, 6.703903964971299e153, 0.0,
+                     -3.3519519824856493e153, -8.98846567431158e306)
+
+
+def test_max_rh_residual_keeps_a_nan():
+    # r_stress overflows to NaN on both shocks, r_momentum / scale is 0.0
+    k, ub, sb, u0, s0 = SCALED_TWO_SHOCKS
+    p = Params(k)
+    sol = solve_ibvp(State(ub, sb), State(u0, s0), p)
+    assert [type(w) for w in sol.structure.waves] == [Shock, Shock]
+    residuals = [rh_residual(w.left, w.right, w.speed, p) for w in sol.structure.waves]
+    assert all(math.isnan(r.r_stress) and not math.isnan(r.r_momentum) for r in residuals)
+    assert math.isnan(max_rh_residual(sol.structure, p))
+
+
+def _with_nan_sigma(s):
+    """A copy of ``s`` whose sigma is NaN, which State itself refuses."""
+    bad = State(s.u, s.sigma)
+    object.__setattr__(bad, "sigma", math.nan)
+    return bad
+
+
+@pytest.mark.parametrize("wave", ["wave1", "wave2"])
+def test_fan_continuity_error_keeps_a_nan(wave):
+    # a NaN flank on either fan of 5a: every other mismatch is finite, and
+    # whether the NaN comes first or last it must not be dropped
+    g = golden_by_label("5a")
+    ws = solve_ibvp(g.boundary, g.initial, K1).structure
+    assert fan_continuity_error(ws, K1) <= 1e-12
+    fan = getattr(ws, wave)
+    bad = dataclasses.replace(ws, **{wave: dataclasses.replace(fan, right=_with_nan_sigma(fan.right))})
+    assert math.isnan(fan_continuity_error(bad, K1))
 
 
 @given(finite, finite, speeds, st.floats(min_value=1e-3, max_value=10.0), st.sampled_from(list(WaveFamily)))
