@@ -169,7 +169,7 @@ def viscous_solve(
     d = np.empty(2 * nx - 1)
     central, rhs, term = (np.empty(2 * nx - 2) for _ in range(3))
     adv = np.zeros(2 * nx - 2)  # zero at the seam cells
-    d1, d0, inner = d[1:], d[:-1], w[1:-1]
+    w1, w0, d1, d0, inner = w[1:], w[:-1], d[1:], d[:-1], w[1:-1]
     adv_u, adv_sigma, u_inner = adv[: nx - 2], adv[nx:], u[1:-1]
     central_u, central_sigma = central[: nx - 2], central[nx:]
     term_u, term_sigma = term[: nx - 2], term[nx:]
@@ -189,7 +189,7 @@ def viscous_solve(
             raise RuntimeError(
                 f"step size collapsed at t={t:.6g} (max speed {amax:.6g})"
             )
-        np.subtract(w[1:], w[:-1], out=d)
+        np.subtract(w1, w0, out=d)
         d[nx - 1] = 0.0
         np.add(d1, d0, out=central)
         # rhs = diffusion (d1 - d0) - (u / 2dx) central + coupling (other row's central)

@@ -1,6 +1,7 @@
 """Smoke tests of the runnable scripts: each runs to the end on the package
 as it is, so a change to the public API cannot break them unnoticed."""
 
+import json
 import os
 import subprocess
 import sys
@@ -31,3 +32,32 @@ def test_viscosity_sweep_runs(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("case ")
     assert sum(line.startswith("eps ") for line in done.stdout.splitlines()) == 4, done.stdout
+
+
+def test_bench_record_writes_both_sides(tmp_path):
+    # this checkout stands in for the parent, so both sides run the same code
+    out = tmp_path / "bench.json"
+    done = _run_script(
+        "bench_record.py", "--workload", "cli_artifacts", "--pairs", "1", "--seconds", "1",
+        "--parent", str(ROOT), "--out", str(out), cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    record = json.loads(out.read_text())
+    assert (record["schema"], record["pairs"], record["seeds"]) == (1, 1, [1])
+    assert set(record["machine"]) == {"nproc", "cpu_model", "python", "numpy"}
+    assert set(record["commits"]) == {"parent", "change"}
+    (name,) = record["workloads"]
+    assert name == "cli_artifacts"
+    workload = record["workloads"][name]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert list(workload["metrics"]) == [m["name"] for m in spec["end_to_end"]]
+    for side in ("parent", "change"):
+        (run,) = workload["runs"][side]
+        assert run["correct"] is True and run["seed"] == 1
+        assert run["meta"]["workload"] == name
+    for name, metric in workload["metrics"].items():
+        for side in ("parent", "change"):
+            summary = metric[side]
+            assert summary["runs"] == [workload["runs"][side][0]["metrics"][name]]
+            assert summary["q1"] == summary["median"] == summary["q3"] == summary["runs"][0]
+        assert metric["change_wins"] in (0, 1)
