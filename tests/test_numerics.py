@@ -307,6 +307,9 @@ def _digest_runs():
     return runs
 
 
+_DIGEST_RUNS = _digest_runs()
+
+
 def _field_digest(field):
     """sha256 over the bytes of x, u and sigma, in that order."""
     h = hashlib.sha256()
@@ -372,9 +375,9 @@ _VISCOUS_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", list(_digest_runs()))
+@pytest.mark.parametrize("name", list(_DIGEST_RUNS))
 def test_viscous_digests_are_pinned(name):
-    boundary, initial, p, cfg = _digest_runs()[name]
+    boundary, initial, p, cfg = _DIGEST_RUNS[name]
     assert _field_digest(viscous_solve(boundary, initial, p, cfg)) == _VISCOUS_DIGESTS[name]
 
 
