@@ -191,13 +191,15 @@ def run(cfg: ProblemConfig) -> int:
 
     verification, ok = _verification(sol)
 
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     # float() keeps an integer x_max from a JSON config out of int64 arithmetic
     x = np.arange(1, cfg.nx + 1) * float(cfg.x_max) / cfg.nx
     u, sigma = sample_many(sol.structure, x / cfg.t, p)
-    write_field_csv(ViscousField(x=x, u=u, sigma=sigma, t=cfg.t), out / "samples.csv")
+    # the field checks the grid, so a refused grid leaves no directory behind
+    samples = ViscousField(x=x, u=u, sigma=sigma, t=cfg.t)
+
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_field_csv(samples, out / "samples.csv")
 
     report = {
         "schema": REPORT_SCHEMA,

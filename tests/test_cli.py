@@ -406,7 +406,7 @@ def test_collapsed_sample_grid_exits_3(tmp_path, capsys):
     code, out = run_cli(tmp_path, "tiny", [*_PROBLEM_FLAGS, "--xmax", "5e-324"])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: x must be finite and strictly increasing")
-    assert not (out / "samples.csv").exists()
+    assert not out.exists()
 
 
 def test_unknown_config_field_rejected(tmp_path):

@@ -154,7 +154,7 @@ def _two_array_reference(boundary, initial, p, cfg):
     t = 0.0
     while t < cfg.t_end:
         amax = float(np.max(np.abs(u))) + p.k
-        dt = min(cfg.cfl * dx / amax, dx * dx / (4.0 * eps), cfg.t_end - t)
+        dt = min(cfg.cfl * dx / amax, dx * dx / (2.5 * eps), cfg.t_end - t)
         ux = (u[2:] - u[:-2]) / (2.0 * dx)
         sx = (s[2:] - s[:-2]) / (2.0 * dx)
         uxx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
@@ -196,6 +196,47 @@ def test_viscous_solve_matches_two_array_reference(boundary, initial, p, cfg):
     assert field.u.shape == field.sigma.shape == (cfg.nx,)
     assert np.max(np.abs(field.u - u)) <= 1e-12 * scale
     assert np.max(np.abs(field.sigma - s)) <= 1e-12 * scale
+
+
+def _oracle_config(eps):
+    """The oracle_sweep run: full plane [-1, 2.2], nx = 1000, t = 0.5."""
+    return ViscousConfig(epsilon=eps, x_min=-1.0, x_max=2.2, nx=1000, t_end=0.5)
+
+
+def test_diffusive_cap_damps_the_grid_mode():
+    # every step of this run sits on the diffusive cap; at the monotone limit
+    # dt = dx^2 / (2 eps) the pi mode is not damped and the third difference
+    # grows to about 1.5e-2, against about 4e-5 here
+    g = golden_by_label("8a")
+    u = viscous_solve(g.boundary, g.initial, K1, _oracle_config(0.02)).u
+    third = u[:-3] - 3.0 * u[1:-2] + 3.0 * u[2:-1] - u[3:]
+    assert np.max(np.abs(third)) < 1e-3
+
+
+# L1 to the exact solution of the oracle_sweep runs under the former
+# dx^2 / (4 eps) cap; the larger step must not lose accuracy
+_L1_AT_QUARTER_CAP = {
+    ("3a", 0.02): 0.08590779854557593,
+    ("3a", 0.01): 0.049828954420645305,
+    ("4a", 0.02): 0.09739549476586239,
+    ("4a", 0.01): 0.05262621568782951,
+    ("5a", 0.02): 0.08346337207926874,
+    ("5a", 0.01): 0.05610990710676846,
+    ("6a", 0.02): 0.18017149844690844,
+    ("6a", 0.01): 0.1043033594777233,
+    ("7a", 0.02): 0.18200324753978186,
+    ("7a", 0.01): 0.10154452447009643,
+    ("8a", 0.02): 0.17291157650404587,
+    ("8a", 0.01): 0.10133409003335891,
+}
+
+
+@pytest.mark.parametrize("label,eps", list(_L1_AT_QUARTER_CAP))
+def test_diffusive_cap_keeps_l1_to_exact(label, eps):
+    g = golden_by_label(label)
+    field = viscous_solve(g.boundary, g.initial, K1, _oracle_config(eps))
+    exact = solve_ibvp(g.boundary, g.initial, K1)
+    assert l1_distance(field, exact) <= _L1_AT_QUARTER_CAP[label, eps]
 
 
 def test_front_position_interpolates():
@@ -326,15 +367,15 @@ _VISCOUS_DIGESTS = {
     "3a-full-eps0.01": "309fd8b13ab71632b3df70bb37452454364930d2b221c4202ade383983215317",
     "3a-full-eps0.005": "0d72dd5c7cc29bf327bb60f8a06e94da8a484e0a541fc6c394ea1b35d398c8ca",
     "3a-full-eps0.0025": "4531b7f3ed184c48e331bd989f255bc2ab0ce0b900946415f823f3e6b4b58611",
-    "3a-quarter-eps0.02": "a8af6b35153e0b5d8a2ad7d708e390925595dd9ae0c5f73cf3d63a0b1f01e078",
+    "3a-quarter-eps0.02": "2e393851fd8882e5bd909b0fcb4313f2f68691be043ff6337f63a57a5a5030c9",
     "3a-quarter-eps0.01": "ffc293553fd4f68262913fc8239ecda1aa14d96a63d4983ccaafeb4f4cc368e0",
     "3a-quarter-eps0.005": "62f97376860455a518b7738b10a62ed1e286453ebfc389ec6dbdfe020610ae50",
     "3a-quarter-eps0.0025": "1c41c4402d1d2453902cefcb87b91c761e52bd0b404099ee05023088301b7c8d",
-    "4a-full-eps0.02": "7646bca6bd9cec7d8b6f0f8464f21b7079b0afb3c87ab5046a6b99f50c4400ea",
+    "4a-full-eps0.02": "d40f05994f1dc3d9074b4d5c3da301c4bafbbeb59606507f1d7b7842ed68f544",
     "4a-full-eps0.01": "20b1ec349a5bc7d10360d848b03249214ac8f13cc43c0dcf95ce720ff82e9b28",
     "4a-full-eps0.005": "324b3d6b0f4abf131b422baac336525175588a53ed2afce0834bbf2e7a905e85",
     "4a-full-eps0.0025": "539fd8f81b1743aa4ab43d386e8400e1a436927467599f54629ad958c9c07b2c",
-    "4a-quarter-eps0.02": "09b8669a22276b061185b00317269367893ce5a6931f3eac67d440780650b852",
+    "4a-quarter-eps0.02": "1c0e3323515101bc6ded944c9a52c1f8db821f7d4aec4772c43319676689f2de",
     "4a-quarter-eps0.01": "ddef7521551647db43c65f4abbc3cf07ef9764773c9101b35f411c88b31c1e63",
     "4a-quarter-eps0.005": "ec97c7e2a15c2368d6dd2843ea832f67a0ef763251a3b78ee8fa0e3355cec8fa",
     "4a-quarter-eps0.0025": "8766ec9f0200fd0d196dd706ed582d148a8aa2b69b331f974dc4ddb9e9fd0117",
@@ -342,7 +383,7 @@ _VISCOUS_DIGESTS = {
     "5a-full-eps0.01": "446be599761b272b496ba419c40b4b51e42ee12b209134fefdf0cfd9a616ad1b",
     "5a-full-eps0.005": "e90b570b0497f14db2b4f36d9531313821851d6c508a971b05e5c019e56a8e23",
     "5a-full-eps0.0025": "6dad85ca0f99060bd040867cccd88d34fdef8c840a1b7b15bc66eb0e73354706",
-    "5a-quarter-eps0.02": "0ad97a839f5728aa8465e8820646887bc24f749202326996bbb6b394b47be211",
+    "5a-quarter-eps0.02": "42dc6a3fbf704c9747966ac670e9f4e524892f429c09757c957f3d64fec598a5",
     "5a-quarter-eps0.01": "318ccc46527537e33c209d39d9ad240cc7cdb4cc521215a10b08c2e7465becce",
     "5a-quarter-eps0.005": "6dfe27a3b30e52de2f56a0c8140ca76f489a211229c94b630cb5147057fe9c05",
     "5a-quarter-eps0.0025": "e18e9a037b12c358e1461fdb2e0d272d413d2a45a8e940ece80b0c9e569da2c8",
@@ -350,7 +391,7 @@ _VISCOUS_DIGESTS = {
     "6a-full-eps0.01": "3e653fb35dfa3c9201526084dd3cd9b6268ea5b14c235482e4655654d3e95d0a",
     "6a-full-eps0.005": "09765611023284de58852fe34e6df7def1d25657652d4d29840b1a348447a43d",
     "6a-full-eps0.0025": "c6960ab9721dd0306e292bdee6f8edce827d91069798060ca67e5341ea42f5df",
-    "6a-quarter-eps0.02": "49cedeca935c3d1b85d2a137acb62c93e65760cfa3e5a4bf8ed45eab8d7bfdb4",
+    "6a-quarter-eps0.02": "02f3b5732d337768f009a9a826a2ece0e4c2bb73a8f644e2795505a0541545da",
     "6a-quarter-eps0.01": "a1289c5ad439b80a626650018aef1cc5ad4a8945893514ae7196b252a8ce99a8",
     "6a-quarter-eps0.005": "5d9ce01fc6d38e40d76a7bdd3b687be09e3878f24fec7ec71e69dcf47c4f5832",
     "6a-quarter-eps0.0025": "db0a6024a06da0e7e229ff3974aeafd176e973ad2527d9009ea9347ea7c052fd",
@@ -366,7 +407,7 @@ _VISCOUS_DIGESTS = {
     "8a-full-eps0.01": "0cae2ba2780cefd093a7327e2fe5617059f759a3f98ece037d70511c690c2b27",
     "8a-full-eps0.005": "7407a20be3db74774389b500099376fbf96ffcdfb436b36421f4d186299365fa",
     "8a-full-eps0.0025": "49e80781452a24be7a83246eb5c2d9fdabe2a1c47feef41e25b812f607beddee",
-    "8a-quarter-eps0.02": "b1bf2964fd083b53244a633607e3a045721c6f0e89128c2c4c3c6147c537730f",
+    "8a-quarter-eps0.02": "82d6587b689fdada6a8df7ec39e88383e7534c4e3ab344e0bf74d062b7e2f1af",
     "8a-quarter-eps0.01": "5c5afc99c5c815654a5569d46c268a8b7b319a9d1407ef2b704882b0db8495c8",
     "8a-quarter-eps0.005": "044b3e5a4a144a62e95bdbb0dfba7b61428c82845f002920a670e43e523d1c2f",
     "8a-quarter-eps0.0025": "cf33b6fd889f30e566438a2708ce9fbec2e9ad5e43635f7dbb01dc4113413772",
