@@ -26,9 +26,10 @@ shock has one edge (its speed), a fan two (xi_lo and xi_hi).
 The count takes the exact sign, so a speed of exactly zero counts as
 nonpositive, which is what right-continuous sampling at xi = 0 does: the
 sub-case always names the piece of the structure the trace comes from.
-A speed within tolerance of zero (a sonic tie) sets the label SONIC, and
-the sub-case is reported alongside as the resolved case.  The labels
-describe ordered structures only; when the waves overlap
+A speed within DEFAULT_TOL times max(k, |u| of the three states) of
+zero (a sonic tie) sets the label SONIC, and the sub-case is reported
+alongside as the resolved case.  The labels describe ordered structures
+only; when the waves overlap
 (``verify.waves_ordered`` fails) they carry no meaning.  The same pass
 over the edges picks the visible waves: a wave is visible exactly when it
 adds to the count, and a fan that starts at a speed < 0 is clipped to
@@ -51,6 +52,7 @@ from enum import Enum
 
 from .core import Params, Rarefaction, Shock, State, Wave, WaveFamily, WaveStructure
 from .curves import (
+    _AUDIT_TOL,
     DEFAULT_TOL,
     RegionLabel,
     SignedDistances,
@@ -144,9 +146,7 @@ def _place_waves(
 ) -> tuple[CaseLabel, CaseLabel, tuple[Wave, ...]]:
     """Case label, resolved case and visible waves, from one pass over the
     wave edges (see the module docstring)."""
-    cut = DEFAULT_TOL * max(
-        1.0, p.k, abs(ws.left.u), abs(ws.middle.u), abs(ws.right.u)
-    )
+    cut = DEFAULT_TOL * max(p.k, abs(ws.left.u), abs(ws.middle.u), abs(ws.right.u))
     positive = 0  # edges with speed > 0
     sonic = False  # some edge within the cut of zero
     visible: list[Wave] = []
@@ -201,12 +201,12 @@ def in_admissible_set(boundary: State, candidate: State, p: Params) -> bool:
     """Whether ``candidate`` is an attainable boundary value for ``boundary``.
 
     Uses the idempotence test: solve with the candidate as initial data
-    and check that the trace reproduces the candidate to 1e-9 of
-    :func:`classification_scale`.
+    and check that the trace reproduces k u and sigma of the candidate to
+    the audit gate 1e-9 of their stress scale, :func:`classification_scale`.
     """
     region, _ = classify(boundary, candidate, p)
     trace = sample(_structure(boundary, candidate, region, p), 0.0, p)
-    return _states_match(trace, candidate, p, 1e-9)
+    return _states_match(trace, candidate, p, _AUDIT_TOL)
 
 
 def on_curve_solution(

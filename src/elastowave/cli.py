@@ -29,6 +29,7 @@ import numpy as np
 
 from .boundary import QuarterPlaneSolution, solve_ibvp
 from .core import Params, Shock, State, Wave
+from .curves import _AUDIT_TOL, DEFAULT_TOL
 from .numerics import (
     ConfigError,
     ViscousConfig,
@@ -169,16 +170,16 @@ def _wave_json(w: Wave) -> dict:
 def _verification(sol: QuarterPlaneSolution) -> tuple[dict, bool]:
     p = sol.params
     rh = max_rh_residual(sol.structure, p)
-    lax_ok = all_shocks_admissible(sol.structure, p, tol=1e-9)
+    lax_ok = all_shocks_admissible(sol.structure, p, tol=_AUDIT_TOL)
     fan_err = fan_continuity_error(sol.structure, p)
-    ordered = waves_ordered(sol.structure, tol=1e-12 * max(1.0, p.k))
+    ordered = waves_ordered(sol.structure, tol=DEFAULT_TOL)
     summary = {
         "max_rh_residual": rh,
         "lax_ok": lax_ok,
         "fan_continuity_error": fan_err,
         "waves_ordered": ordered,
     }
-    ok = rh <= 1e-9 and lax_ok and fan_err <= 1e-9 and ordered
+    ok = rh <= _AUDIT_TOL and lax_ok and fan_err <= _AUDIT_TOL and ordered
     return summary, ok
 
 

@@ -22,6 +22,7 @@ tests lock this derivation down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
+_AUDIT_TOL = 1e-9  # pass gate of the CLI's audits and of in_admissible_set
 
 
 class RegionLabel(Enum):
@@ -66,8 +68,13 @@ class SignedDistances:
 
 
 def classification_scale(a: State, b: State, p: Params) -> float:
-    """Magnitude scale used for all relative comparisons of two states."""
-    return max(1.0, abs(a.sigma), abs(b.sigma), p.k * abs(a.u), p.k * abs(b.u))
+    """Stress scale max(|sigma|, k |u|) of two states, the scale of every
+    tolerance on sigma, k u, d1 or d2.  Floor-free, it goes as a^2 under
+    (u, sigma, k) -> (a u, a^2 sigma, a k).  ValueError if it overflows."""
+    scale = max(abs(a.sigma), abs(b.sigma), p.k * abs(a.u), p.k * abs(b.u))
+    if scale == math.inf:
+        raise ValueError(f"stress scale of {a} and {b} at k={p.k} overflows")
+    return scale
 
 
 def signed_distances(base: State, query: State, p: Params) -> SignedDistances:

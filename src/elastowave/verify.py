@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Params, Rarefaction, Shock, State, WaveFamily, WaveStructure
+from .curves import DEFAULT_TOL, classification_scale
 from .numerics import _check_number
 from .riemann import sample_many, speed_support
 
@@ -57,63 +58,61 @@ def rh_residual(left: State, right: State, speed: float, p: Params) -> RHResidua
     )
 
 
-def rh_scale(left: State, right: State, speed: float, p: Params) -> float:
-    """Largest term magnitude entering the jump conditions; residual
-    tolerances are relative to this."""
-    du = right.u - left.u
-    ds = right.sigma - left.sigma
-    ubar = 0.5 * (left.u + right.u)
-    return max(
-        1.0,
-        abs(speed * du),
-        0.5 * left.u**2,
-        0.5 * right.u**2,
-        abs(ds),
-        abs(speed * ds),
-        abs(ubar * ds),
-        p.k**2 * abs(du),
+def rh_scale(left: State, right: State, speed: float, p: Params) -> tuple[float, float]:
+    """Scale of each jump condition, (momentum, stress): its largest term
+    over the flank values (s u, u^2/2, sigma; s sigma, ubar sigma, k^2 u),
+    which bounds the rounding of its residual.  Floor-free, they go as a^2
+    and a^3 under (u, sigma, k, speed) -> (a u, a^2 sigma, a k, a speed)."""
+    vel = max(abs(left.u), abs(right.u))
+    sig = max(abs(left.sigma), abs(right.sigma))
+    ubar = abs(0.5 * (left.u + right.u))
+    return (
+        max(abs(speed) * vel, 0.5 * vel * vel, sig),
+        max(abs(speed) * sig, ubar * sig, p.k**2 * vel),
     )
 
 
 def lax_check(
-    left: State,
-    right: State,
-    speed: float,
-    family: WaveFamily,
-    p: Params,
-    tol: float = 1e-12,
+    left: State, right: State, speed: float, family: WaveFamily, p: Params, tol: float = DEFAULT_TOL
 ) -> bool:
     """Entropy inequality: the shock speed lies between the family's
-    characteristic speeds of the flanks, right below left."""
+    characteristic speeds of the flanks, right below left, to ``tol`` of
+    the speed scale max(k, |u| of the flanks)."""
     lam_l = family.characteristic_speed(left, p)
     lam_r = family.characteristic_speed(right, p)
-    return lam_r - tol <= speed <= lam_l + tol
+    cut = tol * max(p.k, abs(left.u), abs(right.u))
+    return lam_r - cut <= speed <= lam_l + cut
 
 
 def waves_ordered(ws: WaveStructure, tol: float = 0.0) -> bool:
-    """Whether the speed supports of the two waves do not overlap.
+    """Whether the speed supports of the two waves do not overlap, to
+    ``tol`` of max |u| of the three states (where the waves meet it is >= 2k).
 
     The two-wave construction is only a single-valued solution when this
     holds; it can fail for velocity jumps larger than a few multiples of k.
     """
     if ws.wave1 is None or ws.wave2 is None:
         return True
-    return speed_support(ws.wave1)[1] <= speed_support(ws.wave2)[0] + tol
+    scale = max(abs(ws.left.u), abs(ws.middle.u), abs(ws.right.u))
+    return speed_support(ws.wave1)[1] <= speed_support(ws.wave2)[0] + tol * scale
 
 
 def fan_continuity_error(ws: WaveStructure, p: Params) -> float:
-    """Largest mismatch between a fan edge value and its flanking state;
-    NaN if any mismatch is NaN."""
+    """Largest mismatch between a fan edge value and its flanking state, in
+    u relative to max(k, |u| of the flanks), in sigma to their
+    :func:`classification_scale`; NaN if any mismatch is NaN."""
     err = 0.0
     for w in ws.waves:
         if not isinstance(w, Rarefaction):
             continue
+        u_scale = max(p.k, abs(w.left.u), abs(w.right.u))
+        s_scale = classification_scale(w.left, w.right, p)
+        offset = w.family.speed_offset(p)
+        slope = w.family.curve_slope(p)
+        lam = w.family.characteristic_speed(w.left, p)
         for xi, flank in ((w.xi_lo, w.left), (w.xi_hi, w.right)):
-            u = xi - w.family.speed_offset(p)
-            sigma = w.left.sigma + w.family.curve_slope(p) * (
-                xi - w.family.characteristic_speed(w.left, p)
-            )
-            for term in (abs(u - flank.u), abs(sigma - flank.sigma)):
+            ds = abs(w.left.sigma + slope * (xi - lam) - flank.sigma)
+            for term in (abs(xi - offset - flank.u) / u_scale, ds / s_scale if s_scale else ds):
                 if not term <= err:
                     if term != term:  # max() would keep err against a NaN
                         return term
@@ -122,15 +121,16 @@ def fan_continuity_error(ws: WaveStructure, p: Params) -> float:
 
 
 def max_rh_residual(ws: WaveStructure, p: Params) -> float:
-    """Largest scaled jump-condition residual over the shocks of a
-    structure; NaN if any residual is NaN."""
+    """Largest jump-condition residual over the shocks of a structure, each
+    relative to its own :func:`rh_scale`; NaN if any residual is NaN."""
     worst = 0.0
     for w in ws.waves:
         if not isinstance(w, Shock):
             continue
         r = rh_residual(w.left, w.right, w.speed, p)
-        scale = rh_scale(w.left, w.right, w.speed, p)
-        for term in (abs(r.r_momentum) / scale, abs(r.r_stress) / scale):
+        m, s = rh_scale(w.left, w.right, w.speed, p)
+        for res, scale in ((r.r_momentum, m), (r.r_stress, s)):
+            term = abs(res) / scale if scale else abs(res)  # zero terms, zero residual
             if not term <= worst:
                 if term != term:  # max() would keep worst against a NaN
                     return term
@@ -138,7 +138,7 @@ def max_rh_residual(ws: WaveStructure, p: Params) -> float:
     return worst
 
 
-def all_shocks_admissible(ws: WaveStructure, p: Params, tol: float = 1e-12) -> bool:
+def all_shocks_admissible(ws: WaveStructure, p: Params, tol: float = DEFAULT_TOL) -> bool:
     return all(
         lax_check(w.left, w.right, w.speed, w.family, p, tol)
         for w in ws.waves

@@ -177,9 +177,11 @@ def test_resolved_case_locates_trace_at_sonic_ties():
     problems = _sonic_configurations() + [random_problem(rng) for _ in range(300)]
     checked = 0
     for b, z, p in problems:
-        speeds = {v for w in solve_ibvp(b, z, p).structure.waves for v in speed_support(w)}
-        scale = max(1.0, p.k, abs(b.u), abs(z.u))
-        for v in speeds:
+        ws = solve_ibvp(b, z, p).structure
+        for v in {v for w in ws.waves for v in speed_support(w)}:
+            # the solver's sonic scale, max(k, |u| of the three states),
+            # taken after the shift that brings v to zero
+            scale = max(p.k, *(abs(s.u - v) for s in (ws.left, ws.middle, ws.right)))
             for offset in (0.0, 1e-15, -1e-15, 1e-13, -1e-13):
                 c = offset * scale - v
                 sol = solve_ibvp(State(b.u + c, b.sigma), State(z.u + c, z.sigma), p)

@@ -159,7 +159,7 @@ _GOLDEN_DIGESTS = {
         "samples.csv": "e20c8cf60904a8e46dde421aed5f4d78561295044fa79d08da2a364c8e6dbec4",
     }),
     "2a": (0, {
-        "report.json": "3e92d15da75fe6657e986ef5b7a171d84d1a8819be432c384e2f05421d5346a8",
+        "report.json": "bd9bb71d387cd144cd6fcf5f3590c4da244bf87c1cacabeed1044ae5987c92c6",
         "samples.csv": "c09c7a24eae6b303cec42db7e097c8bca8abc700ec174deaf5351d9ca7e8ab63",
     }),
     "3a": (0, {
@@ -167,15 +167,15 @@ _GOLDEN_DIGESTS = {
         "samples.csv": "4acc6b930c6bb1bb4a5f656b84e919a95e6161538295668c703ec0eb7cbd2d06",
     }),
     "4a": (0, {
-        "report.json": "5014aad59a2c3960edeac3c2aab1d0b3c3893cdaa9dc1efcb2f9b987e813071d",
+        "report.json": "89319061bba4fa26ec6713b4aff1a5d335a67be48da445c417f4aa52ac9524a5",
         "samples.csv": "fd84dd7a0d4848fb302bd6e60e1ff043cea51c1f3c474c80c46ee442377fd337",
     }),
     "5a": (0, {
-        "report.json": "7f795a5670f1a1173d6690f75122ebd9f386198e6656dd170dcac70c3c1ea126",
+        "report.json": "f130c4923af5bc3563fc577001335c7cb50d1ff7876c702e97a865c27e5b177e",
         "samples.csv": "d75af36ee3cd246ab50ed19badc6a55abb28b3846b6941b9fc77d54d804af4ee",
     }),
     "6a": (0, {
-        "report.json": "47e7ac9ccdc150bd6369d94c4770a367ee629a208053e8af6fbb3f1b3a5393d6",
+        "report.json": "d47955ba426cb9f99c590c0c1de63be78cac8069789aaffb09bab8a7eed209f8",
         "samples.csv": "198b1a071af2e82ebe670855b0ef4aab53512eeab62d0ceb7af1bad34f3c2541",
     }),
     "7a": (0, {
@@ -183,7 +183,7 @@ _GOLDEN_DIGESTS = {
         "samples.csv": "a3a261c282beb803f7b3abd1998ab2a07fe5e4dbae95118c152fab33b8e3ba6a",
     }),
     "8a": (0, {
-        "report.json": "802bd5adfe18de5875bed13d9b2280f619b208c108bff06cf1e0fc6e6e57adf8",
+        "report.json": "7b7cc0ae3b3b8db757fc93e4fd59b74918dfb11beca7c15f0edb093b19c785b2",
         "samples.csv": "93636b1d8bca8bbd32c3262247496677deb2e195f54143ee204007384eeee4e2",
     }),
     "overlap": (3, {
@@ -399,6 +399,32 @@ def test_nan_residual_fails_verification(tmp_path, capsys):
     assert "verification failure" in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
     assert math.isnan(report["verification"]["max_rh_residual"])
+
+
+@pytest.mark.parametrize("m", [-400, -20, 0, 12, 20, 250])
+def test_fan_fan_exit_code_ladder(tmp_path, m):
+    # gallery case 5a under (u, sigma, k, x) -> (a u, a^2 sigma, a k, a x):
+    # every audit is relative to the values it compares, so each rung
+    # passes with the same case
+    a = 2.0**m
+    code, out = run_cli(tmp_path, "out", [
+        "--k", repr(a), "--ub", repr(1.2 * a), "--sb", "0", "--u0", repr(1.6 * a), "--s0", "0",
+        "--t", "0.5", "--xmax", repr(2.2 * a), "--nx", "101",
+    ])
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["case"] == "5a"
+
+
+def test_overflowing_scale_is_refused(tmp_path, capsys):
+    # k |u| of this two-shock problem overflows, so its stress scale is not
+    # finite: the solver refuses before any directory is made
+    a = 2.0**520
+    code, out = run_cli(tmp_path, "huge", [
+        "--k", repr(a), "--ub", repr(1.9 * a), "--sb", "0", "--u0", repr(0.5 * a), "--s0=-1e300",
+    ])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_collapsed_sample_grid_exits_3(tmp_path, capsys):

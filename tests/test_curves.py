@@ -117,12 +117,15 @@ def test_classify_translation_invariant(ub, sb, u0, s0, k, du, ds):
     p = Params(k)
     base, query = State(ub, sb), State(u0, s0)
     d = signed_distances(base, query, p)
-    scale = classification_scale(base, query, p)
-    # stay away from the curves so rounding of the translation cannot flip
-    if min(abs(d.d1), abs(d.d2)) < 1e-6 * scale:
-        return
     moved_base = State(ub + du, sb + ds)
     moved_query = State(u0 + du, s0 + ds)
+    # stay away from the curves so rounding of the translation cannot flip:
+    # it rounds at the scale of the moved pair, which has no floor
+    scale = max(
+        classification_scale(base, query, p), classification_scale(moved_base, moved_query, p)
+    )
+    if min(abs(d.d1), abs(d.d2)) < 1e-6 * scale:
+        return
     assert classify(base, query, p)[0] is classify(moved_base, moved_query, p)[0]
 
 

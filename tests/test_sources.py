@@ -72,3 +72,29 @@ def test_every_private_def_is_referenced():
         and node.name not in referenced
     ]
     assert not orphans, f"private defs that nothing references: {orphans}"
+
+
+def _small_float_literals(tree: ast.Module) -> list[ast.Constant]:
+    """Float literals in (0, 1e-6), tolerances in practice, that are not the
+    value of a module-level constant."""
+    named = {
+        id(node.value)
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Constant)
+    }
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and type(node.value) is float
+        and 0.0 < node.value < 1e-6
+        and id(node) not in named
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_tolerances_are_named_constants(path):
+    # a tolerance written inline is one more scale to keep in step; the
+    # exact path names its own (DEFAULT_TOL and the audit gate)
+    found = [f"line {node.lineno}: {node.value!r}" for node in _small_float_literals(_tree(path))]
+    assert not found, f"{path.name} has tolerance literals outside a module constant: {found}"

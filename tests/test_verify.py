@@ -67,6 +67,20 @@ def test_max_rh_residual_keeps_a_nan():
     assert math.isnan(max_rh_residual(sol.structure, p))
 
 
+@pytest.mark.parametrize("m", range(-30, 31, 5))
+def test_each_jump_condition_has_its_own_scale(m):
+    # the 1-shock (1.9a, 0) -> (0.5a, -1.4a^2) at k = a: its momentum terms
+    # go as a^2 and its stress terms as a^3, so a scale shared by the two
+    # equations would hide a wrong speed at small a
+    a = 2.0**m
+    p = Params(a)
+    ws = solve_riemann(State(1.9 * a, 0.0), State(0.5 * a, -1.4 * a * a), p)
+    assert [type(w) for w in ws.waves] == [Shock]
+    assert max_rh_residual(ws, p) <= 1e-12
+    bad = perturb_shock_speed(ws, WaveFamily.ONE, 1e-6 * ws.wave1.speed)
+    assert max_rh_residual(bad, p) > 1e-9
+
+
 def _with_nan_sigma(s):
     """A copy of ``s`` whose sigma is NaN, which State itself refuses."""
     bad = State(s.u, s.sigma)
@@ -97,9 +111,9 @@ def test_on_curve_shock_rh_identity(u_minus, sigma_minus, k, drop, family):
     right = State(u_plus, wave_curve_sigma(left, family, u_plus, p))
     speed = 0.5 * (u_minus + u_plus) + family.speed_offset(p)
     r = rh_residual(left, right, speed, p)
-    scale = rh_scale(left, right, speed, p)
-    assert abs(r.r_momentum) <= 1e-12 * scale
-    assert abs(r.r_stress) <= 1e-12 * scale
+    momentum_scale, stress_scale = rh_scale(left, right, speed, p)
+    assert abs(r.r_momentum) <= 1e-12 * momentum_scale
+    assert abs(r.r_stress) <= 1e-12 * stress_scale
 
 
 def test_lax_examples():
