@@ -19,7 +19,17 @@ from problems import REPRESENTATIVES, random_problem
 GALLERY = [(g.boundary, g.initial, Params(1.0)) for g in REPRESENTATIVES.values()]
 EXPONENTS = range(-400, 251, 10)
 
-# data whose products stay normal floats across 2^-400 ... 2^250
+# the gallery, and region-stratified draws that also put the data on the
+# wave curves, where the on-curve cut decides the label
+problems = st.one_of(
+    st.sampled_from(GALLERY),
+    st.integers(min_value=0, max_value=2**32 - 1).map(
+        lambda seed: random_problem(np.random.default_rng(seed))
+    ),
+)
+exponents = st.integers(min_value=-400, max_value=250)
+
+# raw data whose products stay normal floats across 2^-400 ... 2^250
 magnitude = st.floats(min_value=2.0**-30, max_value=2.0**30)
 value = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda x: -x))
 k_value = st.floats(min_value=2.0**-10, max_value=2.0**10)
@@ -43,17 +53,6 @@ def test_gallery_labels_and_traces_follow_every_scaling():
     for b, z, p in GALLERY:
         for m in EXPONENTS:
             _assert_covariant(b, z, p, m)
-
-
-# the gallery, and region-stratified draws that also put the data on the
-# wave curves, where the on-curve cut decides the label
-problems = st.one_of(
-    st.sampled_from(GALLERY),
-    st.integers(min_value=0, max_value=2**32 - 1).map(
-        lambda seed: random_problem(np.random.default_rng(seed))
-    ),
-)
-exponents = st.integers(min_value=-400, max_value=250)
 
 
 @given(problems, exponents)
