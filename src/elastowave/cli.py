@@ -14,7 +14,8 @@ In ``exact+viscous`` mode a viscous oracle run is added, its field goes
 to viscous.csv and its L1 distance to the exact solution is appended to
 the report.
 
-Exit codes: 0 success, 2 config error, 3 verification failure.
+Exit codes: 0 success, 2 config error, 3 a Refusal (out_of_range,
+viscous_diverged or verification); any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import QuarterPlaneSolution, solve_ibvp
-from .core import Params, Shock, State, Wave
+from .core import Params, Refusal, Shock, State, Wave
 from .curves import _AUDIT_TOL, DEFAULT_TOL
 from .numerics import (
     ConfigError,
@@ -42,7 +43,7 @@ from .numerics import (
 from .riemann import sample_many
 from .verify import all_shocks_admissible, fan_continuity_error, max_rh_residual, waves_ordered
 
-__all__ = ["ProblemConfig", "ConfigError", "run", "main"]
+__all__ = ["ProblemConfig", "ConfigError", "Refusal", "run", "main"]
 
 REPORT_SCHEMA = 1
 MODES = ("exact", "exact+viscous")
@@ -133,7 +134,7 @@ def load_config(argv: list[str] | None = None) -> ProblemConfig:
         if values.get("viscous") is not None:
             try:
                 values["viscous"] = ViscousConfig(**values["viscous"])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ConfigError) as exc:
                 raise ConfigError("viscous", str(exc))
     for flag, field, _, _ in _FIELDS:
         value = getattr(args, flag)
@@ -183,8 +184,8 @@ def _verification(sol: QuarterPlaneSolution) -> tuple[dict, bool]:
     return summary, ok
 
 
-def run(cfg: ProblemConfig) -> int:
-    """Solve, verify and write the artifacts; returns the exit status."""
+def run(cfg: ProblemConfig) -> None:
+    """Solve, verify and write the artifacts; Refusal("verification") if an audit fails."""
     p = Params(cfg.k)
     boundary = State(cfg.u_b, cfg.sigma_b)
     initial = State(cfg.u_0, cfg.sigma_0)
@@ -240,24 +241,23 @@ def run(cfg: ProblemConfig) -> int:
         fh.write("\n")
 
     if not ok:
-        print(f"verification failure: {verification}", file=sys.stderr)
-        return 3
-    return 0
+        raise Refusal("verification", f"verification failure: {verification}")
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(argv)
         try:
-            return run(cfg)
+            run(cfg)
         except OSError as exc:
             raise ConfigError("out", f"cannot write {cfg.out}: {exc}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except Refusal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

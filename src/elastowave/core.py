@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
+    "Refusal",
     "Params",
     "State",
     "WaveFamily",
@@ -30,14 +31,31 @@ __all__ = [
 ]
 
 
+class Refusal(ValueError):
+    """A run refused for ``reason``, one of REASONS: a computed value out of
+    float64, a viscous run that broke down, or a failed audit."""
+
+    REASONS = ("out_of_range", "viscous_diverged", "verification")
+
+    def __init__(self, reason: str, detail: str) -> None:
+        if reason not in self.REASONS:
+            raise ValueError(f"unknown refusal reason {reason!r}")
+        super().__init__(detail)
+        self.reason = reason
+
+
 def _finite(name: str, value: float) -> float:
+    """``value`` as a float; Refusal("out_of_range") if it is not finite."""
     if type(value) is not float:
         # bool is an int subclass, and float() would take a str
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a real number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise Refusal("out_of_range", f"{name} must be finite, got an int beyond float")
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise Refusal("out_of_range", f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -98,7 +116,8 @@ class Shock:
 
     The flanking states sit on the family's wave curve with the right
     flank at lower velocity; the speed is the arithmetic mean of the
-    flank velocities plus the family offset.
+    flank velocities plus the family offset.  Equal flanks (a jump that
+    underflowed) raise Refusal("out_of_range").
     """
 
     family: WaveFamily
@@ -109,7 +128,7 @@ class Shock:
     def __post_init__(self) -> None:
         _finite("speed", self.speed)
         if self.left == self.right:
-            raise ValueError("shock flanks must differ; zero-strength waves are absent")
+            raise Refusal("out_of_range", "shock flanks must differ; zero-strength waves are absent")
 
 
 @dataclass(frozen=True)

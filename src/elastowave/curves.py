@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Params, State
+from .core import Params, Refusal, State
 
 __all__ = [
     "DEFAULT_TOL",
@@ -70,10 +70,10 @@ class SignedDistances:
 def classification_scale(a: State, b: State, p: Params) -> float:
     """Stress scale max(|sigma|, k |u|) of two states, the scale of every
     tolerance on sigma, k u, d1 or d2.  Floor-free, it goes as a^2 under
-    (u, sigma, k) -> (a u, a^2 sigma, a k).  ValueError if it overflows."""
+    (u, sigma, k) -> (a u, a^2 sigma, a k).  Refusal("out_of_range") on overflow."""
     scale = max(abs(a.sigma), abs(b.sigma), p.k * abs(a.u), p.k * abs(b.u))
     if scale == math.inf:
-        raise ValueError(f"stress scale of {a} and {b} at k={p.k} overflows")
+        raise Refusal("out_of_range", f"stress scale of {a} and {b} at k={p.k} overflows")
     return scale
 
 

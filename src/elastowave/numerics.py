@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import QuarterPlaneSolution
-from .core import Params, State
+from .core import Params, Refusal, State
 from .riemann import sample_many
 
 __all__ = [
@@ -105,8 +105,8 @@ class ViscousField:
     """Snapshot of a solution at time t on a uniform grid.
 
     x, u and sigma must be 1-D arrays of one length (zero rows allowed),
-    x finite and strictly increasing, and t finite and > 0; anything else
-    raises ValueError on construction.
+    else ValueError; x finite and strictly increasing and t finite and > 0,
+    else Refusal("out_of_range"), as for a sample grid that collapses.
     """
 
     x: np.ndarray
@@ -119,13 +119,13 @@ class ViscousField:
         if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
             raise ValueError(f"x, u, sigma must be 1-D and of one length, got shapes {shapes}")
         if not (math.isfinite(self.t) and self.t > 0.0):
-            raise ValueError(f"t must be finite and > 0, got {self.t!r}")
+            raise Refusal("out_of_range", f"t must be finite and > 0, got {self.t!r}")
         x = np.asarray(self.x)
         # strictly increasing between finite ends makes every value finite
         if x.size and not (
             math.isfinite(x[0]) and math.isfinite(x[-1]) and (x[1:] > x[:-1]).all()
         ):
-            raise ValueError("x must be finite and strictly increasing")
+            raise Refusal("out_of_range", "x must be finite and strictly increasing")
 
 
 def viscous_solve(
@@ -136,8 +136,8 @@ def viscous_solve(
     The boundary state fills x < 0 initially and is held at x_min
     (Dirichlet); the right end copies its neighbor (outflow).  Before
     every step, and on the field it returns, max|u| is compared against
-    10 (1 + max(|u_b|, |u_0|) + k): a larger or NaN value raises
-    RuntimeError, as does a step size that underflows to zero.
+    10 (1 + max(|u_b|, |u_0|) + k): a larger or NaN value, or a step size
+    that underflows to zero, raises Refusal("viscous_diverged").
 
     The diffusive cap dt <= dx^2 / (2.5 eps) keeps the diffusion number
     d = eps dt / dx^2 at or below 0.4.  On each Riemann invariant the
@@ -185,17 +185,17 @@ def viscous_solve(
     while True:
         umax = float(np.abs(u, out=abs_u).max())
         if not umax <= bound:  # a NaN fails this too
-            raise RuntimeError(
+            raise Refusal("viscous_diverged", (
                 f"viscous run diverged at t={t:.6g} (max |u| = {umax:.3g} > {bound:.3g}); "
                 "the step rule needs a smaller cfl for this data"
-            )
+            ))
         if t >= cfg.t_end:
             return ViscousField(x=x, u=u, sigma=sigma, t=cfg.t_end)
         amax = umax + p.k
         dt = min(cfg.cfl * dx / amax, dx * dx / (2.5 * eps), cfg.t_end - t)
         if not dt > 0.0:
-            raise RuntimeError(
-                f"step size collapsed at t={t:.6g} (max speed {amax:.6g})"
+            raise Refusal(
+                "viscous_diverged", f"step size collapsed at t={t:.6g} (max speed {amax:.6g})"
             )
         np.subtract(w1, w0, out=d)
         d[nx - 1] = 0.0

@@ -53,8 +53,8 @@ def rh_residual(left: State, right: State, speed: float, p: Params) -> RHResidua
     ds = right.sigma - left.sigma
     ubar = 0.5 * (left.u + right.u)
     return RHResidual(
-        r_momentum=-speed * du + 0.5 * (right.u**2 - left.u**2) - ds,
-        r_stress=-speed * ds + ubar * ds - p.k**2 * du,
+        r_momentum=-speed * du + 0.5 * (right.u * right.u - left.u * left.u) - ds,
+        r_stress=-speed * ds + ubar * ds - p.k * p.k * du,
     )
 
 
@@ -68,7 +68,7 @@ def rh_scale(left: State, right: State, speed: float, p: Params) -> tuple[float,
     ubar = abs(0.5 * (left.u + right.u))
     return (
         max(abs(speed) * vel, 0.5 * vel * vel, sig),
-        max(abs(speed) * sig, ubar * sig, p.k**2 * vel),
+        max(abs(speed) * sig, ubar * sig, p.k * p.k * vel),
     )
 
 
@@ -278,7 +278,7 @@ def weak_residual(
 
         r1 = -float(btdW @ U @ bxW + btW @ F @ bxdW)
 
-        r2 = -float(btdW @ S @ bxW - btW @ USX @ bxW - p.k**2 * (btW @ U @ bxdW))
+        r2 = -float(btdW @ S @ bxW - btW @ USX @ bxW - p.k * p.k * (btW @ U @ bxdW))
         for sh in shocks:
             ubar = 0.5 * (sh.left.u + sh.right.u)
             dsig = sh.right.sigma - sh.left.sigma

@@ -1,12 +1,17 @@
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elastowave import Params, State, WaveFamily, sample, solve_ibvp
-from elastowave.cli import ConfigError, ProblemConfig, load_config, main, run
+from elastowave import Params, State, WaveFamily, cli, sample, solve_ibvp
+from elastowave.cli import ConfigError, ProblemConfig, Refusal, load_config, main, run
+from elastowave.curves import _AUDIT_TOL
 from elastowave.numerics import ViscousConfig
 from problems import GOLDEN_CASES, wave_curve_sigma
 
@@ -369,8 +374,8 @@ def test_numpy_scalars_reach_report_as_builtins(tmp_path):
     assert type(cfg.nx) is int and type(cfg.viscous.nx) is int
     # a built-in number keeps its type
     assert type(ProblemConfig(k=2, u_b=0, sigma_b=0.0, u_0=0.0, sigma_0=0.0).k) is int
-    assert run(cfg) == 0
-    assert run(config(float, int, "float")) == 0
+    run(cfg)
+    run(config(float, int, "float"))
     for name in ("report.json", "samples.csv", "viscous.csv"):
         assert (tmp_path / "f32" / name).read_bytes() == (tmp_path / "float" / name).read_bytes()
 
@@ -433,6 +438,96 @@ def test_collapsed_sample_grid_exits_3(tmp_path, capsys):
     assert code == 3
     assert capsys.readouterr().err.startswith("error: x must be finite and strictly increasing")
     assert not out.exists()
+
+
+def test_squared_velocity_overflow_fails_verification(tmp_path, capsys):
+    # an ordered single 1-shock at u ~ 1e160: u^2 in its momentum residual
+    # overflows, which a product turns into a NaN the gate refuses (a float
+    # ** raised OverflowError)
+    code, out = run_cli(tmp_path, "u2", [
+        "--k", "1e148", "--ub", "1e160", "--sb", "0", "--u0", "9.99999999998e+159",
+        "--s0=-1.9999482087599405e+296",
+    ])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: verification failure")
+    verification = json.loads((out / "report.json").read_text())["verification"]
+    assert math.isnan(verification["max_rh_residual"])
+    assert verification["waves_ordered"] is True
+
+
+def test_underflowing_shock_flank_exits_3(tmp_path, capsys):
+    # sigma_0 = 5e-324 is off both curves, but the middle state rounds to
+    # the boundary state, so the 1-shock would join equal flanks
+    code, out = run_cli(tmp_path, "tiny", ["--k", "1", "--ub", "0", "--sb", "0", "--u0", "0",
+                                           "--s0", "5e-324"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: shock flanks must differ")
+    assert not out.exists()
+
+
+_REFUSED = {
+    # k |u| overflows the stress scale
+    "overflow": (dict(k=2.0**520, u_b=1.9 * 2.0**520, sigma_b=0.0, u_0=0.5 * 2.0**520,
+                      sigma_0=-1e300), "out_of_range"),
+    # x_max / nx underflows
+    "collapsed grid": (dict(k=1.0, u_b=0.0, sigma_b=0.0, u_0=0.0, sigma_0=0.0, x_max=5e-324),
+                       "out_of_range"),
+    "shock flank underflow": (dict(k=1.0, u_b=0.0, sigma_b=0.0, u_0=0.0, sigma_0=5e-324),
+                              "out_of_range"),
+    # crossing shocks: the artifacts are written, then the run is refused
+    "unordered": (dict(k=1.0, u_b=3.0, sigma_b=0.0, u_0=-3.0, sigma_0=0.0), "verification"),
+}
+
+
+@pytest.mark.parametrize("name", _REFUSED)
+def test_each_refusal_names_its_reason(tmp_path, name):
+    values, reason = _REFUSED[name]
+    out = tmp_path / "out"
+    with pytest.raises(Refusal) as info:
+        run(ProblemConfig(**values, out=str(out)))
+    assert info.value.reason == reason
+    written = sorted(f.name for f in out.iterdir()) if out.exists() else []
+    assert written == (["report.json", "samples.csv"] if reason == "verification" else [])
+
+
+@pytest.mark.parametrize("error", [KeyError, ValueError])
+def test_an_error_that_is_not_a_refusal_escapes_main(tmp_path, monkeypatch, error):
+    # a bug shows its traceback instead of a tidy exit 3
+    def broken(*args):
+        raise error("bug")
+
+    monkeypatch.setattr(cli, "solve_ibvp", broken)
+    with pytest.raises(error) as info:
+        main([*_PROBLEM_FLAGS, "--out", str(tmp_path / "out")])
+    assert type(info.value) is error
+
+
+# every magnitude from the smallest subnormal to 1e300, and zero, of either
+# sign; k, t and x_max lean positive so that most draws get past the config
+_MAGNITUDE = st.one_of(st.just(0.0), st.floats(min_value=5e-324, max_value=1e300))
+_NUMBER = st.builds(lambda m, negative: -m if negative else m, _MAGNITUDE, st.booleans())
+_POSITIVE_MOSTLY = st.one_of(_MAGNITUDE, _NUMBER)
+
+
+@given(
+    st.tuples(_POSITIVE_MOSTLY, _NUMBER, _NUMBER, _NUMBER, _NUMBER, _POSITIVE_MOSTLY,
+              _POSITIVE_MOSTLY),
+    st.sampled_from((2, 3, 101)),
+)
+@settings(max_examples=500, deadline=None)
+def test_every_input_ends_verified_or_refused(values, nx):
+    # exit 0 with every audit passing, 2 for a bad config or 3 for a named
+    # refusal; any other exception escapes main and fails the test
+    flags = ("k", "ub", "sb", "u0", "s0", "t", "xmax")
+    argv = [f"--{flag}={value!r}" for flag, value in zip(flags, values)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = main([*argv, f"--nx={nx}", f"--out={out}"])
+        assert code in (0, 2, 3)
+        if code == 0:
+            v = json.loads((out / "report.json").read_text())["verification"]
+            assert v["max_rh_residual"] <= _AUDIT_TOL and v["fan_continuity_error"] <= _AUDIT_TOL
+            assert v["lax_ok"] and v["waves_ordered"]
 
 
 def test_unknown_config_field_rejected(tmp_path):

@@ -12,6 +12,7 @@ from elastowave import (
     State,
     WaveFamily,
 )
+from elastowave.core import Refusal
 from problems import riemann_invariants, state_from_invariants
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -72,14 +73,43 @@ def test_round_trip_within_ulps(u, sigma, k):
     assert abs(back.sigma - sigma) <= 4 * math.ulp(max(1.0, abs(sigma), k * abs(u)))
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), float("inf"), -float("inf"),
+     pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")],
+)
 def test_non_finite_rejected(bad):
-    with pytest.raises(ValueError):
-        State(bad, 0.0)
-    with pytest.raises(ValueError):
-        State(0.0, bad)
-    with pytest.raises(ValueError):
-        Params(bad)
+    # float(10**400) raises OverflowError; such an int is refused like an inf
+    for build, field in ((lambda: State(bad, 0.0), "u"), (lambda: State(0.0, bad), "sigma"),
+                         (lambda: Params(bad), "k")):
+        with pytest.raises(Refusal, match=f"^{field} must be finite") as info:
+            build()
+        assert info.value.reason == "out_of_range"
+
+
+def test_refusal_reasons_are_a_closed_set():
+    assert Refusal("verification", "detail").reason == "verification"
+    assert str(Refusal("out_of_range", "detail")) == "detail"
+    with pytest.raises(ValueError, match="unknown refusal reason") as info:
+        Refusal("non_finite", "detail")
+    assert type(info.value) is ValueError
+
+
+def test_a_callers_mistake_is_not_a_refusal():
+    s = State(1.0, 1.0)
+    mistakes = (
+        lambda: State("1.5", 0.0),
+        lambda: Params(-1.0),
+        lambda: Rarefaction(WaveFamily.ONE, s, State(2.0, 2.0), 1.0, 0.5),
+    )
+    for build in mistakes:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert not isinstance(info.value, Refusal)
+    # equal flanks are what an underflowing jump gives
+    with pytest.raises(Refusal) as info:
+        Shock(WaveFamily.ONE, s, s, 0.5)
+    assert info.value.reason == "out_of_range"
 
 
 @pytest.mark.parametrize("bad", ["1.5", True, np.True_, None, 1 + 0j, np.complex128(1.0)])

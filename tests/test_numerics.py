@@ -20,6 +20,7 @@ from elastowave import (
     viscous_solve,
     write_field_csv,
 )
+from elastowave.core import Refusal
 from elastowave.numerics import ConfigError
 from problems import K1, golden_by_label
 
@@ -317,8 +318,18 @@ def test_diverging_run_is_refused():
     g = golden_by_label("8a")
     assert (g.boundary, g.initial) == (State(1.3, -0.2), State(0.9, 1.0))
     cfg = ViscousConfig(epsilon=1e-4, x_min=-1.0, x_max=2.2, nx=1000, t_end=0.05)
-    with pytest.raises(RuntimeError, match="diverged"):
+    with pytest.raises(Refusal, match="diverged") as info:
         viscous_solve(g.boundary, g.initial, K1, cfg)
+    assert info.value.reason == "viscous_diverged"
+
+
+def test_collapsed_step_is_refused():
+    # on a window of 1e-300, dx^2 underflows to zero and so does the step
+    g = golden_by_label("3a")
+    cfg = ViscousConfig(epsilon=0.01, x_min=0.0, x_max=1e-300, nx=16, t_end=0.5)
+    with pytest.raises(Refusal, match="step size collapsed") as info, np.errstate(divide="ignore"):
+        viscous_solve(g.boundary, g.initial, K1, cfg)
+    assert info.value.reason == "viscous_diverged"
 
 
 # the oracle_sweep problems, on its full-plane window and on the quarter plane

@@ -2,6 +2,9 @@
 
 They catch what a refactor tends to leave behind: an import that nothing
 uses, and a private module-level def in the package that nothing calls.
+In the package they also hold the numeric and error rules: tolerances are
+named constants, no float is raised to a power, and no handler is broad
+enough to catch a bug as if it were a refusal.
 """
 
 import ast
@@ -98,3 +101,45 @@ def test_tolerances_are_named_constants(path):
     # exact path names its own (DEFAULT_TOL and the audit gate)
     found = [f"line {node.lineno}: {node.value!r}" for node in _small_float_literals(_tree(path))]
     assert not found, f"{path.name} has tolerance literals outside a module constant: {found}"
+
+
+def _float_powers(tree: ast.Module) -> list[ast.BinOp]:
+    """``**`` whose base is not an int literal: on a float it raises
+    OverflowError where the product x * x gives inf, and it is not
+    correctly rounded."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Pow)
+        and not (isinstance(node.left, ast.Constant) and type(node.left.value) is int)
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_float_powers(path):
+    found = sorted(node.lineno for node in _float_powers(_tree(path)))
+    assert not found, f"{path.name} raises a possible float to a power on lines {found}"
+
+
+# a handler that names one of these would turn a bug into a refusal
+_TOO_BROAD = {"ValueError", "RuntimeError", "Exception", "BaseException"}
+
+
+def _broad_handlers(tree: ast.Module) -> list[ast.ExceptHandler]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None or any(
+                isinstance(c, ast.Name) and c.id in _TOO_BROAD for c in caught
+            ):
+                found.append(node)
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_broad_except(path):
+    # refusals are Refusal, config errors ConfigError; catch those by name
+    found = sorted(node.lineno for node in _broad_handlers(_tree(path)))
+    assert not found, f"{path.name} catches a broad exception class on lines {found}"
