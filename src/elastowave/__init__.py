@@ -29,7 +29,6 @@ from .boundary import (
     solve_ibvp,
 )
 from .verify import (
-    RHResidual,
     WeakFormGrid,
     all_shocks_admissible,
     fan_continuity_error,

@@ -29,17 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import QuarterPlaneSolution, solve_ibvp
-from .core import Params, Refusal, Shock, State, Wave
+from .core import ConfigError, Params, Refusal, Shock, State, Wave, _check_number
 from .curves import _AUDIT_TOL, DEFAULT_TOL
-from .numerics import (
-    ConfigError,
-    ViscousConfig,
-    ViscousField,
-    _check_number,
-    l1_distance,
-    viscous_solve,
-    write_field_csv,
-)
+from .numerics import ViscousConfig, ViscousField, l1_distance, viscous_solve, write_field_csv
 from .riemann import sample_many
 from .verify import all_shocks_admissible, fan_continuity_error, max_rh_residual, waves_ordered
 
@@ -65,7 +57,7 @@ _FIELDS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemConfig:
     """A quarter-plane problem and its output directory, checked on
     construction: a bad value raises ConfigError naming its field."""
@@ -85,11 +77,11 @@ class ProblemConfig:
     def __post_init__(self) -> None:
         for _, name, kind, _ in _FIELDS:
             if kind is float:
-                setattr(self, name, _check_number(name, getattr(self, name)))
+                object.__setattr__(self, name, _check_number(name, getattr(self, name)))
         for name in ("k", "t", "x_max"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(name, f"must be > 0, got {getattr(self, name)}")
-        self.nx = _check_number("nx", self.nx, min_int=2)
+        object.__setattr__(self, "nx", _check_number("nx", self.nx, min_int=2))
         if self.mode not in MODES:
             raise ConfigError("mode", f"must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.out, str):
@@ -193,9 +185,12 @@ def run(cfg: ProblemConfig) -> None:
 
     verification, ok = _verification(sol)
 
-    # float() keeps an integer x_max from a JSON config out of int64 arithmetic
-    x = np.arange(1, cfg.nx + 1) * float(cfg.x_max) / cfg.nx
-    u, sigma = sample_many(sol.structure, x / cfg.t, p)
+    # an overflow is inf: the field refuses such an x; xi = inf samples the right state
+    with np.errstate(over="ignore"):
+        # float() keeps an integer x_max from a JSON config out of int64 arithmetic
+        x = np.arange(1, cfg.nx + 1) * float(cfg.x_max) / cfg.nx
+        xi = x / cfg.t
+    u, sigma = sample_many(sol.structure, xi, p)
     # the field checks the grid, so a refused grid leaves no directory behind
     samples = ViscousField(x=x, u=u, sigma=sigma, t=cfg.t)
 

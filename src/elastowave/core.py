@@ -44,11 +44,24 @@ class Refusal(ValueError):
         self.reason = reason
 
 
+class ConfigError(ValueError):
+    """A config value that breaks a rule; ``field`` names the value."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(f"{field}: {message}")
+        self.field = field
+
+
+def _is_real(value: object) -> bool:
+    """A numbers.Real (numpy's floats and ints, not its bool or complex
+    types), but not bool, an int subclass."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _finite(name: str, value: float) -> float:
     """``value`` as a float; Refusal("out_of_range") if it is not finite."""
     if type(value) is not float:
-        # bool is an int subclass, and float() would take a str
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if not _is_real(value):
             raise ValueError(f"{name} must be a real number, got {value!r}")
         try:
             value = float(value)
@@ -57,6 +70,27 @@ def _finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise Refusal("out_of_range", f"{name} must be finite, got {value!r}")
     return value
+
+
+def _check_number(name: str, value: object, min_int: int | None = None) -> int | float:
+    """Return ``value`` if it is a finite real number, as :func:`_finite`
+    takes it, or, when ``min_int`` is given, an integer >= ``min_int``; else
+    raise ConfigError naming ``name``.
+
+    A built-in int or float comes back unchanged, any other number (a numpy
+    scalar, say) as the built-in int or float that json.dump can write.
+    """
+    if min_int is not None:
+        ok = _is_real(value) and isinstance(value, numbers.Integral) and value >= min_int
+    else:
+        try:
+            ok = (type(value) is float or _is_real(value)) and math.isfinite(value)
+        except OverflowError:  # an int beyond float
+            ok = False
+    if not ok:
+        what = "a finite number" if min_int is None else f"an integer >= {min_int}"
+        raise ConfigError(name, f"must be {what}, got {value!r}")
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import QuarterPlaneSolution
-from .core import Params, Refusal, State
+from .core import ConfigError, Params, Refusal, State, _check_number
 from .riemann import sample_many
 
 __all__ = [
@@ -30,40 +30,6 @@ __all__ = [
     "front_position",
     "write_field_csv",
 ]
-
-
-class ConfigError(ValueError):
-    """A config value that breaks a rule; ``field`` names the value."""
-
-    def __init__(self, field: str, message: str) -> None:
-        super().__init__(f"{field}: {message}")
-        self.field = field
-
-
-def _check_number(name: str, value: object, min_int: int | None = None) -> int | float:
-    """Return ``value`` if it is a finite real number, or, when ``min_int``
-    is given, an integer >= ``min_int``; else raise ConfigError naming
-    ``name``.
-
-    bool and numpy's bool are not numbers, although bool is an int
-    subclass, and a numpy complex is not real, although math.isfinite
-    takes it.  A built-in int or float comes back unchanged, any other
-    number (a numpy scalar, say) as the built-in int or float that
-    json.dump can write.
-    """
-    if isinstance(value, (bool, np.bool_, np.complexfloating)):
-        ok = False
-    elif min_int is not None:
-        ok = isinstance(value, (int, np.integer)) and value >= min_int
-    else:
-        try:
-            ok = math.isfinite(value)
-        except (TypeError, OverflowError):  # not a number, or an int beyond float
-            ok = False
-    if not ok:
-        what = "a finite number" if min_int is None else f"an integer >= {min_int}"
-        raise ConfigError(name, f"must be {what}, got {value!r}")
-    return int(value) if isinstance(value, (int, np.integer)) else float(value)
 
 
 @dataclass(frozen=True)
@@ -128,6 +94,8 @@ class ViscousField:
             raise Refusal("out_of_range", "x must be finite and strictly increasing")
 
 
+# a zero dx ends in the dt check, an overflow or NaN in the max|u| guard
+@np.errstate(all="ignore")
 def viscous_solve(
     boundary: State, initial: State, p: Params, cfg: ViscousConfig
 ) -> ViscousField:

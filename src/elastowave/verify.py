@@ -16,17 +16,17 @@ and those two left-hand sides are the residuals reported here.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Params, Rarefaction, Shock, State, WaveFamily, WaveStructure
+from .core import (ConfigError, Params, Rarefaction, Shock, State, WaveFamily, WaveStructure,
+                   _check_number)
 from .curves import DEFAULT_TOL, classification_scale
-from .numerics import _check_number
 from .riemann import sample_many, speed_support
 
 __all__ = [
-    "RHResidual",
     "rh_residual",
     "rh_scale",
     "lax_check",
@@ -39,22 +39,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RHResidual:
-    """Left-hand sides of the two jump conditions; both vanish for a
-    valid shock."""
-
-    r_momentum: float
-    r_stress: float
-
-
-def rh_residual(left: State, right: State, speed: float, p: Params) -> RHResidual:
+def rh_residual(left: State, right: State, speed: float, p: Params) -> tuple[float, float]:
+    """Left-hand sides of the two jump conditions, (momentum, stress); both
+    vanish for a valid shock."""
     du = right.u - left.u
     ds = right.sigma - left.sigma
     ubar = 0.5 * (left.u + right.u)
-    return RHResidual(
-        r_momentum=-speed * du + 0.5 * (right.u * right.u - left.u * left.u) - ds,
-        r_stress=-speed * ds + ubar * ds - p.k * p.k * du,
+    return (
+        -speed * du + 0.5 * (right.u * right.u - left.u * left.u) - ds,
+        -speed * ds + ubar * ds - p.k * p.k * du,
     )
 
 
@@ -97,11 +90,23 @@ def waves_ordered(ws: WaveStructure, tol: float = 0.0) -> bool:
     return speed_support(ws.wave1)[1] <= speed_support(ws.wave2)[0] + tol * scale
 
 
+def _worst(terms: Iterable[float]) -> float:
+    """Largest of ``terms``, 0.0 for none; NaN as soon as a term is NaN,
+    which max() can drop: max(0.0, nan) is 0.0."""
+    worst = 0.0
+    for term in terms:
+        if not term <= worst:
+            if term != term:
+                return term
+            worst = term
+    return worst
+
+
 def fan_continuity_error(ws: WaveStructure, p: Params) -> float:
     """Largest mismatch between a fan edge value and its flanking state, in
     u relative to max(k, |u| of the flanks), in sigma to their
     :func:`classification_scale`; NaN if any mismatch is NaN."""
-    err = 0.0
+    terms = []
     for w in ws.waves:
         if not isinstance(w, Rarefaction):
             continue
@@ -112,30 +117,21 @@ def fan_continuity_error(ws: WaveStructure, p: Params) -> float:
         lam = w.family.characteristic_speed(w.left, p)
         for xi, flank in ((w.xi_lo, w.left), (w.xi_hi, w.right)):
             ds = abs(w.left.sigma + slope * (xi - lam) - flank.sigma)
-            for term in (abs(xi - offset - flank.u) / u_scale, ds / s_scale if s_scale else ds):
-                if not term <= err:
-                    if term != term:  # max() would keep err against a NaN
-                        return term
-                    err = term
-    return err
+            terms += (abs(xi - offset - flank.u) / u_scale, ds / s_scale if s_scale else ds)
+    return _worst(terms)
 
 
 def max_rh_residual(ws: WaveStructure, p: Params) -> float:
     """Largest jump-condition residual over the shocks of a structure, each
     relative to its own :func:`rh_scale`; NaN if any residual is NaN."""
-    worst = 0.0
-    for w in ws.waves:
-        if not isinstance(w, Shock):
-            continue
-        r = rh_residual(w.left, w.right, w.speed, p)
-        m, s = rh_scale(w.left, w.right, w.speed, p)
-        for res, scale in ((r.r_momentum, m), (r.r_stress, s)):
-            term = abs(res) / scale if scale else abs(res)  # zero terms, zero residual
-            if not term <= worst:
-                if term != term:  # max() would keep worst against a NaN
-                    return term
-                worst = term
-    return worst
+    return _worst(
+        abs(res) / scale if scale else abs(res)  # zero terms, zero residual
+        for w in ws.waves
+        if isinstance(w, Shock)
+        for res, scale in zip(
+            rh_residual(w.left, w.right, w.speed, p), rh_scale(w.left, w.right, w.speed, p)
+        )
+    )
 
 
 def all_shocks_admissible(ws: WaveStructure, p: Params, tol: float = DEFAULT_TOL) -> bool:
@@ -169,9 +165,9 @@ class WeakFormGrid:
         for name in ("nx", "nt"):
             object.__setattr__(self, name, _check_number(name, getattr(self, name), min_int=8))
         if self.t_min <= 0.0:
-            raise ValueError(f"t_min must be positive, got {self.t_min}")
+            raise ConfigError("t_min", f"must be positive, got {self.t_min}")
         if self.x_min >= self.x_max or self.t_min >= self.t_max:
-            raise ValueError("grid window is empty")
+            raise ConfigError("window", "is empty")
 
     def refined(self) -> "WeakFormGrid":
         """The same window at twice the resolution per axis."""

@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +360,15 @@ def test_problem_config_checks_itself(change, field):
     assert str(info.value).startswith(f"{field}: ")
 
 
+@pytest.mark.parametrize("name,value", [("nx", 0), ("mode", "bogus"), ("k", -1.0)])
+def test_problem_config_cannot_be_unchecked_by_assignment(name, value):
+    # the checks run once, on construction, so a config is frozen
+    cfg = ProblemConfig(k=1.0, u_b=0.0, sigma_b=0.0, u_0=0.0, sigma_0=0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, name, value)
+    assert (cfg.nx, cfg.mode, cfg.k) == (101, "exact", 1.0)
+
+
 def test_numpy_scalars_reach_report_as_builtins(tmp_path):
     # numpy numbers from a Python caller are stored as built-in floats and
     # ints, so report.json is written whole, with the same bytes as from
@@ -479,6 +490,30 @@ _REFUSED = {
 }
 
 
+@pytest.mark.parametrize(
+    "args,err",
+    [
+        # x / t overflows; xi = inf samples the right state
+        (["--k=4.85e-230", "--ub=-1.05e-174", "--sb=0", "--u0=-5.15e-190", "--s0=-8.95e-137",
+          "--t=5.45e-242", "--xmax=4.86e+265"], "error: verification failure"),
+        # nx x_max overflows; the field refuses the grid
+        ([*_PROBLEM_FLAGS, "--xmax", "1e308"], "error: x must be finite"),
+        # k^2 overflows in the viscous step before its max|u| guard refuses
+        (["--k", "1e150", "--ub", "1e152", "--sb", "0", "--u0", "0", "--s0", "0", "--t", "1",
+          "--xmax", "1", "--nx", "4", "--mode", "exact+viscous"], "error: viscous run diverged"),
+        # the viscous dx^2 underflows to zero before the dt check refuses
+        ([*_PROBLEM_FLAGS, "--xmax", "1e-320", "--nx", "2", "--mode", "exact+viscous"],
+         "error: step size collapsed"),
+    ],
+    ids=["xi-overflow", "x-overflow", "viscous-overflow", "viscous-dx-underflow"],
+)
+def test_no_numpy_warning_reaches_stderr(tmp_path, capsys, args, err):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*args, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(err)
+
+
 @pytest.mark.parametrize("name", _REFUSED)
 def test_each_refusal_names_its_reason(tmp_path, name):
     values, reason = _REFUSED[name]
@@ -517,10 +552,12 @@ _POSITIVE_MOSTLY = st.one_of(_MAGNITUDE, _NUMBER)
 @settings(max_examples=500, deadline=None)
 def test_every_input_ends_verified_or_refused(values, nx):
     # exit 0 with every audit passing, 2 for a bad config or 3 for a named
-    # refusal; any other exception escapes main and fails the test
+    # refusal; any other exception, a numpy warning included, escapes main
+    # and fails the test
     flags = ("k", "ub", "sb", "u0", "s0", "t", "xmax")
     argv = [f"--{flag}={value!r}" for flag, value in zip(flags, values)]
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = Path(tmp) / "out"
         code = main([*argv, f"--nx={nx}", f"--out={out}"])
         assert code in (0, 2, 3)

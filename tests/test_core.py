@@ -12,7 +12,7 @@ from elastowave import (
     State,
     WaveFamily,
 )
-from elastowave.core import Refusal
+from elastowave.core import ConfigError, Refusal, _check_number, _finite
 from problems import riemann_invariants, state_from_invariants
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -85,6 +85,46 @@ def test_non_finite_rejected(bad):
         with pytest.raises(Refusal, match=f"^{field} must be finite") as info:
             build()
         assert info.value.reason == "out_of_range"
+
+
+def _numpy(kind, value):
+    with np.errstate(over="ignore"):  # a float16 or float32 of a large float is inf
+        return kind(value)
+
+
+_ANY_VALUE = st.one_of(
+    st.integers(), st.sampled_from([10**400, -(10**400)]),
+    st.floats(),  # nan and +-inf included
+    st.booleans(),
+    st.builds(_numpy, st.sampled_from([np.float16, np.float32, np.float64, np.longdouble,
+                                       np.complex64]), st.floats()),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    st.builds(np.uint16, st.integers(0, 2**16 - 1)),
+    st.builds(np.bool_, st.booleans()),
+    st.fractions(), st.decimals(), st.builds(np.array, st.floats()),
+    st.text(max_size=3), st.none(),
+)
+
+
+@given(_ANY_VALUE)
+@settings(max_examples=1000, deadline=None)
+def test_config_and_state_share_one_real_number_rule(value):
+    # _check_number (config fields) takes exactly what _finite (State and
+    # Params) takes, with the same value; where they refuse, only the
+    # exception class differs
+    try:
+        finite = _finite("v", value)
+    except ValueError as exc:  # Refusal, or a plain ValueError for a non-number
+        finite = exc
+    try:
+        checked = _check_number("v", value)
+    except ConfigError as exc:
+        checked = exc
+    if isinstance(finite, ValueError):
+        assert isinstance(checked, ConfigError), f"config takes {value!r} as {checked!r}"
+    else:
+        assert type(checked) in (int, float), f"config refuses {value!r}: {checked}"
+        assert float(checked) == finite
 
 
 def test_refusal_reasons_are_a_closed_set():

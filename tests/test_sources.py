@@ -3,8 +3,9 @@
 They catch what a refactor tends to leave behind: an import that nothing
 uses, and a private module-level def in the package that nothing calls.
 In the package they also hold the numeric and error rules: tolerances are
-named constants, no float is raised to a power, and no handler is broad
-enough to catch a bug as if it were a refusal.
+named constants, no float is raised to a power, no handler is broad
+enough to catch a bug as if it were a refusal, and the oracles stay
+independent: they import the solver only, never each other.
 """
 
 import ast
@@ -143,3 +144,27 @@ def test_no_broad_except(path):
     # refusals are Refusal, config errors ConfigError; catch those by name
     found = sorted(node.lineno for node in _broad_handlers(_tree(path)))
     assert not found, f"{path.name} catches a broad exception class on lines {found}"
+
+
+# the exact solver, and the oracles that check it independently: a solver
+# module imports only solver modules, and an oracle imports the solver only,
+# never the other oracle or the front end
+_SOLVER = {"core", "curves", "riemann", "boundary"}
+_ORACLES = {"verify", "numerics"}
+
+
+def _sibling_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports, by relative import."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.stem in _SOLVER | _ORACLES], ids=lambda p: p.stem
+)
+def test_solver_and_oracles_import_only_the_solver(path):
+    outside = sorted(_sibling_imports(_tree(path)) - _SOLVER)
+    assert not outside, f"{path.name} imports {outside}, outside the solver {sorted(_SOLVER)}"

@@ -22,7 +22,7 @@ from elastowave import (
     waves_ordered,
     weak_residual,
 )
-from elastowave.numerics import ConfigError
+from elastowave.core import ConfigError
 from elastowave.riemann import sample_many
 from elastowave.verify import _bump, _bump_deriv, _sigma_xi_slope, _windows
 from problems import K1, REPRESENTATIVES, golden_by_label, perturb_shock_speed, wave_curve_sigma
@@ -33,21 +33,19 @@ speeds = st.floats(min_value=0.05, max_value=10.0, allow_nan=False)
 
 def test_rh_residual_zero_jump():
     s = State(1.3, -0.2)
-    r = rh_residual(s, s, 0.77, K1)
-    assert r.r_momentum == 0.0 and r.r_stress == 0.0
+    assert rh_residual(s, s, 0.77, K1) == (0.0, 0.0)
 
 
 def test_rh_residual_valid_shock():
     # family-ONE shock of the two-shock example; brute-force substitution:
     # -0.5(-1) + (1 - 4)/2 - (-1) = 0 and -0.5(-1) + 1.5(-1) - (-1) = 0
-    r = rh_residual(State(2.0, 0.0), State(1.0, -1.0), 0.5, K1)
-    assert r.r_momentum == 0.0 and r.r_stress == 0.0
+    assert rh_residual(State(2.0, 0.0), State(1.0, -1.0), 0.5, K1) == (0.0, 0.0)
 
 
 def test_rh_residual_perturbed_speed():
-    r = rh_residual(State(2.0, 0.0), State(1.0, -1.0), 0.6, K1)
-    assert abs(r.r_momentum - 0.1) <= 1e-15
-    assert r.r_stress != 0.0
+    r_momentum, r_stress = rh_residual(State(2.0, 0.0), State(1.0, -1.0), 0.6, K1)
+    assert abs(r_momentum - 0.1) <= 1e-15
+    assert r_stress != 0.0
 
 
 # (k, u_b, sigma_b, u_0, sigma_0) of the two-shock problem (1, 1, 0, -0.5, -0.2)
@@ -57,13 +55,13 @@ SCALED_TWO_SHOCKS = (6.703903964971299e153, 6.703903964971299e153, 0.0,
 
 
 def test_max_rh_residual_keeps_a_nan():
-    # r_stress overflows to NaN on both shocks, r_momentum / scale is 0.0
+    # the stress residual overflows to NaN on both shocks, momentum / scale is 0.0
     k, ub, sb, u0, s0 = SCALED_TWO_SHOCKS
     p = Params(k)
     sol = solve_ibvp(State(ub, sb), State(u0, s0), p)
     assert [type(w) for w in sol.structure.waves] == [Shock, Shock]
     residuals = [rh_residual(w.left, w.right, w.speed, p) for w in sol.structure.waves]
-    assert all(math.isnan(r.r_stress) and not math.isnan(r.r_momentum) for r in residuals)
+    assert all(math.isnan(stress) and not math.isnan(momentum) for momentum, stress in residuals)
     assert math.isnan(max_rh_residual(sol.structure, p))
 
 
@@ -110,10 +108,10 @@ def test_on_curve_shock_rh_identity(u_minus, sigma_minus, k, drop, family):
     u_plus = u_minus - drop * k
     right = State(u_plus, wave_curve_sigma(left, family, u_plus, p))
     speed = 0.5 * (u_minus + u_plus) + family.speed_offset(p)
-    r = rh_residual(left, right, speed, p)
+    r_momentum, r_stress = rh_residual(left, right, speed, p)
     momentum_scale, stress_scale = rh_scale(left, right, speed, p)
-    assert abs(r.r_momentum) <= 1e-12 * momentum_scale
-    assert abs(r.r_stress) <= 1e-12 * stress_scale
+    assert abs(r_momentum) <= 1e-12 * momentum_scale
+    assert abs(r_stress) <= 1e-12 * stress_scale
 
 
 def test_lax_examples():
@@ -165,6 +163,20 @@ def test_weak_grid_refuses_what_is_not_a_number_naming_the_field():
     # numpy numbers are stored as the built-in int or float
     grid = WeakFormGrid(np.float64(0.0), 1, 0.1, 1.0, np.int64(16), 16)
     assert (type(grid.x_min), type(grid.x_max), type(grid.nx)) == (float, int, int)
+
+
+@pytest.mark.parametrize(
+    "change,field",
+    [({"t_min": 0.0}, "t_min"), ({"t_min": -0.5}, "t_min"), ({"x_max": 0.0}, "window"),
+     ({"x_min": 2.0}, "window"), ({"t_max": 0.1}, "window")],
+)
+def test_weak_grid_window_errors_name_their_field(change, field):
+    # every check of the grid raises ConfigError, the window's too
+    base = dict(x_min=0.0, x_max=1.0, t_min=0.1, t_max=1.0, nx=16, nt=16)
+    with pytest.raises(ConfigError) as info:
+        WeakFormGrid(**{**base, **change})
+    assert info.value.field == field
+    assert str(info.value).startswith(f"{field}: ")
 
 
 GRID = WeakFormGrid(0.03, 2.43, 0.35, 1.15, 200, 200)
