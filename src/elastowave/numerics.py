@@ -94,7 +94,7 @@ class ViscousField:
             raise Refusal("out_of_range", "x must be finite and strictly increasing")
 
 
-# a zero dx ends in the dt check, an overflow or NaN in the max|u| guard
+# no warnings: a zero dx ends in the dt check, an overflow or NaN in the max|u| guard
 @np.errstate(all="ignore")
 def viscous_solve(
     boundary: State, initial: State, p: Params, cfg: ViscousConfig

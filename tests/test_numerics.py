@@ -20,8 +20,7 @@ from elastowave import (
     viscous_solve,
     write_field_csv,
 )
-from elastowave.core import Refusal
-from elastowave.core import ConfigError
+from elastowave.core import ConfigError, Refusal
 from problems import K1, golden_by_label
 
 SMALL = ViscousConfig(epsilon=0.01, x_min=-1.0, x_max=1.5, nx=400, t_end=0.3)
