@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -72,23 +73,29 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
+# Largest size _check_number takes: a float64 array of more items
+# exceeds numpy's size limit of sys.maxsize bytes.
+_MAX_SIZE = sys.maxsize // 8
+
+
 def _check_number(name: str, value: object, min_int: int | None = None) -> int | float:
     """Return ``value`` if it is a finite real number, as :func:`_finite`
-    takes it, or, when ``min_int`` is given, an integer >= ``min_int``; else
-    raise ConfigError naming ``name``.
+    takes it, or, when ``min_int`` is given, an integer in [``min_int``,
+    ``_MAX_SIZE``]; else raise ConfigError naming ``name``.
 
     A built-in int or float comes back unchanged, any other number (a numpy
     scalar, say) as the built-in int or float that json.dump can write.
     """
     if min_int is not None:
-        ok = _is_real(value) and isinstance(value, numbers.Integral) and value >= min_int
+        ok = (_is_real(value) and isinstance(value, numbers.Integral)
+              and min_int <= value <= _MAX_SIZE)
     else:
         try:
             ok = (type(value) is float or _is_real(value)) and math.isfinite(value)
         except OverflowError:  # an int beyond float
             ok = False
     if not ok:
-        what = "a finite number" if min_int is None else f"an integer >= {min_int}"
+        what = "a finite number" if min_int is None else f"an integer in [{min_int}, {_MAX_SIZE}]"
         raise ConfigError(name, f"must be {what}, got {value!r}")
     return int(value) if isinstance(value, numbers.Integral) else float(value)
 

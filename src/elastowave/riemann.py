@@ -97,8 +97,9 @@ def speed_support(wave: Wave) -> tuple[float, float]:
 def sample(ws: WaveStructure, xi: float, p: Params) -> State:
     """Value of the self-similar solution at xi = x/t (right-continuous).
 
-    The bitwise reference of :func:`sample_many` and the evaluator of the
-    trace, sample(ws, 0.0, p).
+    The bitwise reference of :func:`sample_many` and of the quarter-plane
+    trace, which the solver takes from its pass over the wave edges:
+    sample(ws, 0.0, p) gives the same bits.
     """
     w2 = ws.wave2
     if w2 is not None:

@@ -148,8 +148,8 @@ class WeakFormGrid:
 
     The window must exclude t = 0; test functions are compactly supported
     bumps on the window and on its 2x2 tiling.  The window bounds must be
-    finite numbers and nx, nt integers >= 8; a bad value raises
-    ConfigError, a ValueError naming the field.
+    finite numbers and nx, nt integers >= 8 (and at most sys.maxsize // 8);
+    a bad value raises ConfigError, a ValueError naming the field.
     """
 
     x_min: float
@@ -233,7 +233,8 @@ def weak_residual(
     a positive value when a shock speed is wrong.
 
     Accepts a QuarterPlaneSolution or a bare WaveStructure; returns the
-    worst normalized residual over all test bumps, one per equation.
+    worst normalized residual over all test bumps, one per equation, NaN
+    if any of them is NaN.
     """
     ws: WaveStructure = getattr(sol, "structure", sol)
     x = np.linspace(grid.x_min, grid.x_max, grid.nx)
@@ -257,8 +258,7 @@ def weak_residual(
 
     # Each test function is a product bt(t) bx(x), so every weighted grid
     # sum of M * phi is the bilinear form (wt*bt) @ M @ (wx*bx).
-    worst1 = 0.0
-    worst2 = 0.0
+    res1, res2 = [], []
     for (x0, x1, t0, t1) in _windows(grid):
         zx = (2.0 * x - (x0 + x1)) / (x1 - x0)
         zt = (2.0 * t - (t0 + t1)) / (t1 - t0)
@@ -282,6 +282,6 @@ def weak_residual(
             phi_line = _bump(zxs) * bt
             r2 += ubar * dsig * float(np.sum(wt * phi_line))
 
-        worst1 = max(worst1, abs(r1) / den)
-        worst2 = max(worst2, abs(r2) / den)
-    return worst1, worst2
+        res1.append(abs(r1) / den)
+        res2.append(abs(r2) / den)
+    return _worst(res1), _worst(res2)

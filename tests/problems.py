@@ -15,8 +15,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from elastowave import Params, Shock, State, WaveFamily, WaveStructure, solve_ibvp
-from elastowave.boundary import _states_match
+from elastowave import (Params, Shock, State, WaveFamily, WaveStructure, classification_scale,
+                        solve_ibvp)
 
 K1 = Params(1.0)
 
@@ -65,6 +65,14 @@ def perturb_shock_speed(
     return WaveStructure(ws.left, w1, ws.middle, w2, ws.right)
 
 
+def states_match(a: State, b: State, p: Params, tol: float) -> bool:
+    """Whether k u and sigma of ``a`` and ``b`` agree to ``tol`` of their
+    :func:`classification_scale`: the idempotence reference of
+    ``in_admissible_set``, where ``a`` is the trace of the candidate ``b``."""
+    scale = classification_scale(a, b, p)
+    return p.k * abs(a.u - b.u) <= tol * scale and abs(a.sigma - b.sigma) <= tol * scale
+
+
 def scan_admissible_set(
     boundary: State,
     candidate: State,
@@ -80,7 +88,7 @@ def scan_admissible_set(
     hits = []
     for z in initials:
         sol = solve_ibvp(boundary, z, p)
-        if _states_match(sol.trace, candidate, p, tol):
+        if states_match(sol.trace, candidate, p, tol):
             hits.append(z)
     return hits
 

@@ -255,6 +255,12 @@ _PROBLEM_FLAGS = ["--k", "1", "--ub", "0", "--sb", "0", "--u0", "0", "--s0", "0"
         (["--k", "1", "--ub", "0", "--sb", "0", "--u0", "0", "--s0", "0", "--t", "-1"], "t"),
         (["--k", "1", "--ub", "0", "--sb", "0", "--u0", "0", "--s0", "0", "--nx", "1"], "nx"),
         (["--k", "1", "--ub", "0", "--sb", "0"], "u_0"),
+        # sizes whose float64 array numpy refuses ended in a traceback from
+        # np.arange; both are refused before any array exists
+        *[
+            pytest.param([*_PROBLEM_FLAGS, "--nx", nx], "nx", id=f"nx-{nx}")
+            for nx in ("100000000000000000000", "2305843009213693952")
+        ],
         # a config file that cannot be read is a config error, not a traceback
         *[
             pytest.param([*_PROBLEM_FLAGS, "--config", name], "config", id=f"config-{name}")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -125,6 +126,15 @@ def test_config_and_state_share_one_real_number_rule(value):
     else:
         assert type(checked) in (int, float), f"config refuses {value!r}: {checked}"
         assert float(checked) == finite
+
+
+@pytest.mark.parametrize("size", [10**20, 2**61])
+def test_sizes_beyond_numpy_are_refused_with_both_bounds(size):
+    # numpy refuses a float64 array of more than sys.maxsize // 8 items
+    with pytest.raises(ConfigError) as info:
+        _check_number("nx", size, min_int=2)
+    assert str(info.value) == f"nx: must be an integer in [2, {sys.maxsize // 8}], got {size}"
+    assert _check_number("nx", sys.maxsize // 8, min_int=2) == sys.maxsize // 8
 
 
 def test_refusal_reasons_are_a_closed_set():

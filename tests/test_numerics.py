@@ -56,7 +56,8 @@ def test_config_validation():
     for integer in (np.int64, np.int32, np.uint16):
         cfg = ViscousConfig(**{**base, "nx": integer(200)})
         assert type(cfg.nx) is int and cfg.nx == 200
-    for bad in (np.True_, np.int64(15), 200.0, np.float64(200.0)):
+    # sizes beyond numpy's array limit are refused before any array exists
+    for bad in (np.True_, np.int64(15), 200.0, np.float64(200.0), 10**20, 2**61):
         with pytest.raises(ConfigError) as info:
             ViscousConfig(**{**base, "nx": bad})
         assert info.value.field == "nx"

@@ -3,7 +3,8 @@
 The system maps solutions to solutions under (u, sigma, k, xi) ->
 (a u, a^2 sigma, a k, a xi).  For a power of two a every product and sum
 the solver forms scales exactly, as long as nothing over- or underflows,
-so the region, the case labels and the trace bits must follow the data.
+so the region, the case labels, the trace bits and the admissibility of
+the data must follow it.
 Each tolerance is relative to a floor-free scale of the values it
 compares, which is what keeps the labels fixed.
 """
@@ -12,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastowave import Params, State, solve_ibvp
+from elastowave import Params, State, in_admissible_set, sample, solve_ibvp
 from problems import REPRESENTATIVES, random_problem
 
 # the eight problems of scripts/case_gallery.py, one per case family, k = 1
@@ -42,11 +43,18 @@ def _scaled(b: State, z: State, p: Params, a: float):
 def _assert_covariant(b: State, z: State, p: Params, m: int) -> None:
     a = 2.0**m
     ref = solve_ibvp(b, z, p)
-    sol = solve_ibvp(*_scaled(b, z, p, a))
+    bs, zs, ps = _scaled(b, z, p, a)
+    sol = solve_ibvp(bs, zs, ps)
     labels = (sol.region, sol.case, sol.resolved_case)
     assert labels == (ref.region, ref.case, ref.resolved_case), (b, z, p.k, m)
     bits = (sol.trace.u.hex(), sol.trace.sigma.hex())
     assert bits == ((a * ref.trace.u).hex(), (a * a * ref.trace.sigma).hex()), (b, z, p.k, m)
+    # the edge pass's trace is right-continuous sampling at xi = 0, bit for bit
+    sampled = sample(sol.structure, 0.0, ps)
+    assert bits == (sampled.u.hex(), sampled.sigma.hex()), (b, z, p.k, m)
+    # the trace is attainable, and admissibility follows the data
+    assert in_admissible_set(bs, sol.trace, ps), (b, z, p.k, m)
+    assert in_admissible_set(bs, zs, ps) == in_admissible_set(b, z, p), (b, z, p.k, m)
 
 
 def test_gallery_labels_and_traces_follow_every_scaling():

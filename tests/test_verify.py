@@ -156,6 +156,7 @@ def test_weak_grid_validation():
 def test_weak_grid_refuses_what_is_not_a_number_naming_the_field():
     base = dict(x_min=0.0, x_max=1.0, t_min=0.1, t_max=1.0, nx=16, nt=16)
     for name, bad in (("nx", 16.0), ("nx", True), ("nt", np.float64(16)), ("nt", 7),
+                      ("nx", 10**20), ("nt", 2**61),
                       ("x_min", float("nan")), ("t_max", np.inf), ("x_max", "1.0")):
         with pytest.raises(ConfigError) as info:
             WeakFormGrid(**{**base, name: bad})
@@ -209,6 +210,21 @@ def test_weak_residual_rejects_wrong_speed():
     # and the defect does not vanish under refinement
     wrong_coarse = weak_residual(bad, K1, GRID)
     assert wrong[0] > 0.3 * wrong_coarse[0]
+
+
+def test_weak_residual_keeps_a_nan():
+    # 7a under (u, sigma, k, x) -> (a u, a^2 sigma, a k, a x) with a = 2^500:
+    # the stress terms overflow to NaN in some windows, which max() dropped
+    g = golden_by_label("7a")
+    a = 2.0**500
+    p = Params(a)
+    grid = WeakFormGrid(0.03 * a, 2.43 * a, 0.35, 1.15, 64, 64)
+    with np.errstate(all="ignore"):
+        sol = solve_ibvp(State(a * g.boundary.u, a * a * g.boundary.sigma),
+                         State(a * g.initial.u, a * a * g.initial.sigma), p)
+        assert math.isnan(max_rh_residual(sol.structure, p))
+        momentum, stress = weak_residual(sol, p, grid)
+    assert math.isfinite(momentum) and math.isnan(stress)
 
 
 def _dense_weak_residual(ws, p, grid):
