@@ -105,7 +105,8 @@ def viscous_solve(
     (Dirichlet); the right end copies its neighbor (outflow).  Before
     every step, and on the field it returns, max|u| is compared against
     10 (1 + max(|u_b|, |u_0|) + k): a larger or NaN value, or a step size
-    that underflows to zero, raises Refusal("viscous_diverged").
+    that underflows to zero, raises Refusal("viscous_diverged").  A returned
+    sigma that is not finite raises Refusal("out_of_range").
 
     The diffusive cap dt <= dx^2 / (2.5 eps) keeps the diffusion number
     d = eps dt / dx^2 at or below 0.4.  On each Riemann invariant the
@@ -158,6 +159,8 @@ def viscous_solve(
                 "the step rule needs a smaller cfl for this data"
             ))
         if t >= cfg.t_end:
+            if not np.isfinite(sigma).all():
+                raise Refusal("out_of_range", f"viscous sigma is not finite at t={t:.6g}")
             return ViscousField(x=x, u=u, sigma=sigma, t=cfg.t_end)
         amax = umax + p.k
         dt = min(cfg.cfl * dx / amax, dx * dx / (2.5 * eps), cfg.t_end - t)

@@ -482,6 +482,18 @@ def test_underflowing_shock_flank_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_overflowed_viscous_sigma_exits_3(tmp_path, capsys):
+    # one viscous step of k^2 u_x at k = 1e150 takes sigma past float64
+    code, out = run_cli(tmp_path, "sigma", [
+        "--k", "1e150", "--ub", "1e152", "--sb", "0", "--u0", "0", "--s0", "0", "--t", "1e-160",
+        "--xmax", "1", "--nx", "4", "--mode", "exact+viscous",
+    ])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: viscous sigma is not finite at t=1e-160")
+    assert not (out / "viscous.csv").exists()
+    assert not (out / "report.json").exists()
+
+
 _REFUSED = {
     # k |u| overflows the stress scale
     "overflow": (dict(k=2.0**520, u_b=1.9 * 2.0**520, sigma_b=0.0, u_0=0.5 * 2.0**520,

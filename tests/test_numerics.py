@@ -332,6 +332,15 @@ def test_collapsed_step_is_refused():
     assert info.value.reason == "viscous_diverged"
 
 
+def test_overflowed_sigma_is_refused():
+    # one step of k^2 u_x at k = 1e150 takes sigma past float64; max|u| stays
+    # inside its bound
+    cfg = ViscousConfig(epsilon=0.005, x_min=0.0, x_max=1.0, nx=16, t_end=1e-160)
+    with pytest.raises(Refusal, match="sigma is not finite at t=1e-160") as info:
+        viscous_solve(State(1e152, 0.0), State(0.0, 0.0), Params(1e150), cfg)
+    assert info.value.reason == "out_of_range"
+
+
 # the oracle_sweep problems, on its full-plane window and on the quarter plane
 _DIGEST_LABELS = ("3a", "4a", "5a", "6a", "7a", "8a")
 _DIGEST_WINDOWS = {"full": (-1.0, 2.2), "quarter": (0.0, 2.2)}

@@ -38,7 +38,7 @@ def test_bench_record_writes_both_sides(tmp_path):
     # this checkout stands in for the parent, so both sides run the same code
     out = tmp_path / "bench.json"
     done = _run_script(
-        "bench_record.py", "--workload", "cli_artifacts", "--pairs", "1", "--seconds", "1",
+        "bench_record.py", "--workload", "cli_artifacts", "--pairs", "1", "--seconds", "0.25",
         "--parent", str(ROOT), "--out", str(out), cwd=tmp_path,
     )
     assert done.returncode == 0, done.stderr

@@ -24,7 +24,7 @@ from elastowave import (
 )
 from elastowave.core import ConfigError
 from elastowave.riemann import sample_many
-from elastowave.verify import _bump, _bump_deriv, _sigma_xi_slope, _windows
+from elastowave.verify import _sigma_xi_slope
 from problems import K1, REPRESENTATIVES, golden_by_label, perturb_shock_speed, wave_curve_sigma
 
 finite = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
@@ -229,7 +229,16 @@ def test_weak_residual_keeps_a_nan():
 
 def _dense_weak_residual(ws, p, grid):
     """Reference for weak_residual: every test bump as a dense (nt, nx)
-    outer product, summed over the whole grid."""
+    outer product, summed over the whole grid, on the window and on each
+    cell of its 2x2 tiling."""
+
+    def bump(z):
+        # exp(1 - 1/(1 - z^2)) on |z| < 1 and its derivative in z
+        inside = np.abs(z) < 1.0
+        q = np.where(inside, 1.0 - z * z, 1.0)
+        b = np.where(inside, np.exp(1.0 - 1.0 / q), 0.0)
+        return b, b * (-2.0 * z / (q * q))
+
     x = np.linspace(grid.x_min, grid.x_max, grid.nx)
     t = np.linspace(grid.t_min, grid.t_max, grid.nt)
     U = np.empty((grid.nt, grid.nx))
@@ -247,26 +256,29 @@ def _dense_weak_residual(ws, p, grid):
     wt[0] *= 0.5
     wt[-1] *= 0.5
     W = np.outer(wt, wx)
+    xm = 0.5 * (grid.x_min + grid.x_max)
+    tm = 0.5 * (grid.t_min + grid.t_max)
+    windows = [(grid.x_min, grid.x_max, grid.t_min, grid.t_max)] + [
+        (x0, x1, t0, t1)
+        for x0, x1 in ((grid.x_min, xm), (xm, grid.x_max))
+        for t0, t1 in ((grid.t_min, tm), (tm, grid.t_max))
+    ]
     shocks = [w for w in ws.waves if isinstance(w, Shock)]
     worst1 = worst2 = 0.0
-    for (x0, x1, t0, t1) in _windows(grid):
-        zx = (2.0 * x - (x0 + x1)) / (x1 - x0)
-        zt = (2.0 * t - (t0 + t1)) / (t1 - t0)
-        bx = _bump(zx)
-        bt = _bump(zt)
+    for (x0, x1, t0, t1) in windows:
+        bx, bx_z = bump((2.0 * x - (x0 + x1)) / (x1 - x0))
+        bt, bt_z = bump((2.0 * t - (t0 + t1)) / (t1 - t0))
         phi = np.outer(bt, bx)
-        phi_x = np.outer(bt, _bump_deriv(zx) * (2.0 / (x1 - x0)))
-        phi_t = np.outer(_bump_deriv(zt) * (2.0 / (t1 - t0)), bx)
+        phi_x = np.outer(bt, bx_z * (2.0 / (x1 - x0)))
+        phi_t = np.outer(bt_z * (2.0 / (t1 - t0)), bx)
         den = float(np.sum(W * phi))
-        if den == 0.0:
-            continue
         r1 = -float(np.sum(W * (U * phi_t + F * phi_x)))
         r2 = -float(np.sum(W * (S * phi_t - U * SX * phi - p.k**2 * U * phi_x)))
         for sh in shocks:
             ubar = 0.5 * (sh.left.u + sh.right.u)
             dsig = sh.right.sigma - sh.left.sigma
-            zxs = (2.0 * sh.speed * t - (x0 + x1)) / (x1 - x0)
-            r2 += ubar * dsig * float(np.sum(wt * _bump(zxs) * bt))
+            line = bump((2.0 * sh.speed * t - (x0 + x1)) / (x1 - x0))[0]
+            r2 += ubar * dsig * float(np.sum(wt * line * bt))
         worst1 = max(worst1, abs(r1) / den)
         worst2 = max(worst2, abs(r2) / den)
     return worst1, worst2
@@ -291,3 +303,29 @@ def test_weak_residual_matches_dense_reference(ws):
     want = _dense_weak_residual(ws, K1, grid)
     assert max(got) > 1e-6  # a vanishing residual would compare nothing
     assert got == pytest.approx(want, rel=0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("label", sorted(REPRESENTATIVES))
+def test_weak_residual_scales_as_one_over_the_window(label):
+    # (x, t) -> (s x, s t) keeps every sample, scales each weighted residual
+    # by s and each test mass by s^2: by a power of two s, exactly
+    g = REPRESENTATIVES[label]
+    sol = solve_ibvp(g.boundary, g.initial, K1)
+    window = (0.03, 2.43, 0.35, 1.15)
+    r1, r2 = weak_residual(sol, K1, WeakFormGrid(*window, 64, 48))
+    for m in (-40, -3, 5, 40):
+        s = 2.0**m
+        scaled = WeakFormGrid(*(s * v for v in window), 64, 48)
+        assert weak_residual(sol, K1, scaled) == (r1 / s, r2 / s), m
+
+
+def test_weak_residual_fails_a_window_without_test_mass():
+    # near 1e-300 every bump's test mass underflows to 0: the audit must
+    # not read that as a pass
+    g = REPRESENTATIVES["7a"]
+    sol = solve_ibvp(g.boundary, g.initial, K1)
+    bad = perturb_shock_speed(sol.structure, WaveFamily.ONE, 0.1)
+    grid = WeakFormGrid(0.03e-300, 2.43e-300, 0.35e-300, 1.15e-300, 64, 64)
+    with np.errstate(all="ignore"):
+        momentum, stress = weak_residual(bad, K1, grid)
+    assert not math.isfinite(momentum) and not math.isfinite(stress)
