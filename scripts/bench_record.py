@@ -12,7 +12,9 @@ workload, on seed ``--seed + pair``; with ``--parent`` the two checkouts
 alternate, and so does which of them runs first.  The file holds the
 machine, both commits, and for each workload and end-to-end metric of
 BENCHMARK.json every run, each side's median and quartiles and, with a
-parent, the number of pairs the change won (ties count for neither).
+parent, the number of pairs the change won (ties count for neither) and the
+verdict: the move of the change's median, whether it is within the metric's
+bound, and whether a gain is resolved.
 Standard library only.
 """
 
@@ -57,6 +59,22 @@ def change_wins(parent: list[float], change: list[float], better: str) -> int:
     return sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
 
 
+def verdict(entry: dict, pairs: int) -> dict:
+    """The change's median against the parent's: its relative move (None on a
+    zero parent median), whether it stays within the metric's bound, and
+    whether a gain is resolved, i.e. won in nine tenths of the pairs by more
+    than the parent's interquartile range."""
+    parent, change = entry["parent"]["median"], entry["change"]["median"]
+    if entry["better"] == "higher":
+        within = change >= parent * (1.0 - entry["bound"])
+    else:
+        within = change <= parent * (1.0 + entry["bound"])
+    spread = entry["parent"]["q3"] - entry["parent"]["q1"]
+    return {
+        "move": change / parent - 1.0 if parent else None,
+        "within_bound": within,
+        "gain_resolved": 10 * entry["change_wins"] >= 9 * pairs and abs(change - parent) > spread,
+    }
 def record(args, spec: dict) -> dict:
     sides = {"change": ROOT} if args.parent is None else {"parent": args.parent, "change": ROOT}
     runs = {w: {side: [] for side in sides} for w in args.workload}
@@ -89,6 +107,7 @@ def record(args, spec: dict) -> dict:
             entry.update({side: {"runs": v, **summary(v)} for side, v in values.items()})
             if "parent" in sides:
                 entry["change_wins"] = change_wins(values["parent"], values["change"], m["better"])
+                entry.update(verdict(entry, args.pairs))
             metrics[m["name"]] = entry
         out["workloads"][workload] = {"runs": by_side, "metrics": metrics}
     return out

@@ -232,8 +232,7 @@ def run(cfg: ProblemConfig) -> None:
         }
 
     with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     if not ok:
         raise Refusal("verification", f"verification failure: {verification}")

@@ -31,6 +31,10 @@ __all__ = [
     "write_field_csv",
 ]
 
+# about 100x the 9,756 steps of the largest vanishing-viscosity run
+# (nx = 2000, eps = 0.02 on [-1, 2.2])
+_MAX_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class ViscousConfig:
@@ -106,7 +110,9 @@ def viscous_solve(
     every step, and on the field it returns, max|u| is compared against
     10 (1 + max(|u_b|, |u_0|) + k): a larger or NaN value, or a step size
     that underflows to zero, raises Refusal("viscous_diverged").  A returned
-    sigma that is not finite raises Refusal("out_of_range").
+    sigma that is not finite raises Refusal("out_of_range"), and so does a
+    run whose fewest possible steps, t_end max(k / (cfl dx), 2.5 eps / dx^2),
+    exceed _MAX_STEPS; that one is refused before its first step.
 
     The diffusive cap dt <= dx^2 / (2.5 eps) keeps the diffusion number
     d = eps dt / dx^2 at or below 0.4.  On each Riemann invariant the
@@ -168,6 +174,14 @@ def viscous_solve(
             raise Refusal(
                 "viscous_diverged", f"step size collapsed at t={t:.6g} (max speed {amax:.6g})"
             )
+        if t == 0.0:
+            # every dt is below both caps, so no run takes fewer steps
+            fewest = cfg.t_end * max(p.k / (cfg.cfl * dx), 2.5 * eps / (dx * dx))
+            if fewest > _MAX_STEPS:
+                raise Refusal("out_of_range", (
+                    f"viscous run needs at least {fewest:.3g} steps, "
+                    f"over the budget of {_MAX_STEPS} steps"
+                ))
         np.subtract(w1, w0, out=d)
         d[nx - 1] = 0.0
         np.add(d1, d0, out=central)
@@ -219,25 +233,33 @@ def write_field_csv(field: ViscousField, path: str | Path) -> None:
     """Snapshot as CSV with columns x,u,sigma and \\r\\n line ends.
 
     Each value is written as its repr, the shortest decimal that reads back
-    to the same float, so the decimals round-trip exactly.
+    to the same float, so the decimals round-trip exactly.  The u,sigma part
+    of a row is formatted once per run of equal (u, sigma) rows, and the
+    whole file is built as one string, by one %-format over the interleaved
+    (x, row tail) pairs, and written in one write.
     """
-    columns = [_column_reprs(c) for c in (field.x, field.u, field.sigma)]
+    n = len(field.x)
+    rows = [None] * (2 * n)
+    rows[::2] = np.asarray(field.x, dtype=np.float64).tolist()
+    rows[1::2] = _row_tails(field.u, field.sigma)
     with open(path, "w", newline="") as fh:
-        fh.write("x,u,sigma\r\n")
-        fh.writelines(f"{x},{u},{s}\r\n" for x, u, s in zip(*columns))
+        fh.write(("x,u,sigma\r\n" + "%r%s" * n) % tuple(rows))
 
 
-def _column_reprs(column: np.ndarray) -> list[str]:
-    """repr of every value, computed once per run of equal values.
+def _row_tails(u: np.ndarray, sigma: np.ndarray) -> list[str]:
+    """",{u!r},{sigma!r}\\r\\n" of every row, formatted once per run of
+    equal rows.
 
-    Exact fields are constant states joined by waves, so their columns are
-    long runs of one value.  Runs are split where the bit patterns differ,
-    not the values: -0.0 == 0.0, but their reprs differ.
+    Exact fields are constant states joined by waves, so their rows come in
+    long runs of one (u, sigma) pair.  Runs are split where the bit patterns
+    differ, not the values: -0.0 == 0.0, but their reprs differ.
     """
-    a = np.ascontiguousarray(column, dtype=np.float64)
-    bits = a.view(np.int64)
-    run_start = np.ones(a.size, dtype=bool)
-    np.not_equal(bits[1:], bits[:-1], out=run_start[1:])
+    u = np.asarray(u, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    u_bits, sigma_bits = u.view(np.int64), sigma.view(np.int64)
+    run_start = np.ones(u.size, dtype=bool)
+    np.not_equal(u_bits[1:], u_bits[:-1], out=run_start[1:])
+    run_start[1:] |= sigma_bits[1:] != sigma_bits[:-1]
     starts = np.flatnonzero(run_start)
-    reprs = np.array([repr(v) for v in a[starts].tolist()], dtype=object)
-    return np.repeat(reprs, np.diff(starts, append=a.size)).tolist()
+    tails = [f",{a!r},{b!r}\r\n" for a, b in zip(u[starts].tolist(), sigma[starts].tolist())]
+    return np.repeat(np.array(tails, dtype=object), np.diff(starts, append=u.size)).tolist()

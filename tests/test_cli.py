@@ -494,6 +494,20 @@ def test_overflowed_viscous_sigma_exits_3(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+
+def test_viscous_run_over_the_step_budget_exits_3(tmp_path, capsys):
+    # 16 cells at k = 1e6 need at least t k / (cfl dx) = 1.9e7 steps
+    code, out = run_cli(tmp_path, "budget", [
+        "--k", "1e6", "--ub", "0", "--sb", "0", "--u0", "0", "--s0", "0", "--t", "0.5",
+        "--xmax", "1", "--nx", "3", "--mode", "exact+viscous",
+    ])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "error: viscous run needs at least 1.88e+07 steps, over the budget of 1000000 steps"
+    )
+    assert not (out / "viscous.csv").exists()
+    assert not (out / "report.json").exists()
+
 _REFUSED = {
     # k |u| overflows the stress scale
     "overflow": (dict(k=2.0**520, u_b=1.9 * 2.0**520, sigma_b=0.0, u_0=0.5 * 2.0**520,
@@ -517,13 +531,18 @@ _REFUSED = {
         # nx x_max overflows; the field refuses the grid
         ([*_PROBLEM_FLAGS, "--xmax", "1e308"], "error: x must be finite"),
         # k^2 overflows in the viscous step before its max|u| guard refuses
-        (["--k", "1e150", "--ub", "1e152", "--sb", "0", "--u0", "0", "--s0", "0", "--t", "1",
+        (["--k", "1e150", "--ub", "1e152", "--sb", "0", "--u0", "0", "--s0", "0", "--t", "1e-150",
           "--xmax", "1", "--nx", "4", "--mode", "exact+viscous"], "error: viscous run diverged"),
+        # the fewest steps, t k / (cfl dx), overflow to inf before any step runs
+        (["--k", "1e300", "--ub", "0", "--sb", "0", "--u0", "0", "--s0", "0", "--t", "1e300",
+          "--xmax", "1", "--nx", "4", "--mode", "exact+viscous"],
+         "error: viscous run needs at least inf steps, over the budget of 1000000 steps"),
         # the viscous dx^2 underflows to zero before the dt check refuses
         ([*_PROBLEM_FLAGS, "--xmax", "1e-320", "--nx", "2", "--mode", "exact+viscous"],
          "error: step size collapsed"),
     ],
-    ids=["xi-overflow", "x-overflow", "viscous-overflow", "viscous-dx-underflow"],
+    ids=["xi-overflow", "x-overflow", "viscous-overflow", "viscous-step-budget",
+         "viscous-dx-underflow"],
 )
 def test_no_numpy_warning_reaches_stderr(tmp_path, capsys, args, err):
     with warnings.catch_warnings():

@@ -20,6 +20,7 @@ from elastowave import (
     viscous_solve,
     write_field_csv,
 )
+from elastowave import numerics
 from elastowave.core import ConfigError, Refusal
 from problems import K1, golden_by_label
 
@@ -341,6 +342,26 @@ def test_overflowed_sigma_is_refused():
     assert info.value.reason == "out_of_range"
 
 
+
+class _NumpyWithoutSteps:
+    """numpy, except that np.subtract, the first call of every viscous step,
+    fails the test."""
+
+    def __getattr__(self, name):
+        if name == "subtract":
+            raise AssertionError("a viscous step ran")
+        return getattr(np, name)
+
+
+def test_run_over_the_step_budget_is_refused_before_its_first_step(monkeypatch):
+    # at k = 1e42 the advective cap alone asks for t_end k / (cfl dx) steps
+    cfg = ViscousConfig(epsilon=0.005, x_min=0.0, x_max=1.0, nx=16, t_end=0.5)
+    monkeypatch.setattr(numerics, "np", _NumpyWithoutSteps())
+    budget = r"needs at least 1\.87e\+43 steps, over the budget of 1000000 steps"
+    with pytest.raises(Refusal, match=budget) as info:
+        viscous_solve(State(0.0, 0.0), State(0.0, 0.0), Params(1e42), cfg)
+    assert info.value.reason == "out_of_range"
+
 # the oracle_sweep problems, on its full-plane window and on the quarter plane
 _DIGEST_LABELS = ("3a", "4a", "5a", "6a", "7a", "8a")
 _DIGEST_WINDOWS = {"full": (-1.0, 2.2), "quarter": (0.0, 2.2)}
@@ -505,6 +526,10 @@ def _byte_case_field(name):
         return viscous_solve(g.boundary, g.initial, K1, SMALL)
     if name == "exact-two-fans":
         return _exact_two_fan_field()
+    if name == "zero-row":
+        return ViscousField(x=np.empty(0), u=np.empty(0), sigma=np.empty(0), t=1.0)
+    if name == "one-row":
+        return ViscousField(x=np.array([0.1]), u=np.array([-0.0]), sigma=np.array([5e-324]), t=1.0)
     if name == "edge-column":
         edge = np.array(_EDGE_COLUMN)
         return ViscousField(
@@ -517,7 +542,9 @@ def _byte_case_field(name):
     return ViscousField(x=table[:, 0], u=table[:, 1], sigma=table[:, 2], t=1.0)
 
 
-@pytest.mark.parametrize("name", ["viscous", "exact-two-fans", "edge-column", "strided"])
+@pytest.mark.parametrize(
+    "name", ["viscous", "exact-two-fans", "edge-column", "strided", "zero-row", "one-row"]
+)
 def test_field_csv_bytes_match_csv_module(tmp_path, name):
     _assert_csv_bytes_match_reference(_byte_case_field(name), tmp_path)
 

@@ -61,3 +61,6 @@ def test_bench_record_writes_both_sides(tmp_path):
             assert summary["runs"] == [workload["runs"][side][0]["metrics"][name]]
             assert summary["q1"] == summary["median"] == summary["q3"] == summary["runs"][0]
         assert metric["change_wins"] in (0, 1)
+        assert isinstance(metric["move"], float)
+        assert isinstance(metric["within_bound"], bool)
+        assert isinstance(metric["gain_resolved"], bool)
