@@ -75,6 +75,8 @@ def verdict(entry: dict, pairs: int) -> dict:
         "within_bound": within,
         "gain_resolved": 10 * entry["change_wins"] >= 9 * pairs and abs(change - parent) > spread,
     }
+
+
 def record(args, spec: dict) -> dict:
     sides = {"change": ROOT} if args.parent is None else {"parent": args.parent, "change": ROOT}
     runs = {w: {side: [] for side in sides} for w in args.workload}

@@ -494,7 +494,6 @@ def test_overflowed_viscous_sigma_exits_3(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
-
 def test_viscous_run_over_the_step_budget_exits_3(tmp_path, capsys):
     # 16 cells at k = 1e6 need at least t k / (cfl dx) = 1.9e7 steps
     code, out = run_cli(tmp_path, "budget", [
@@ -507,6 +506,7 @@ def test_viscous_run_over_the_step_budget_exits_3(tmp_path, capsys):
     )
     assert not (out / "viscous.csv").exists()
     assert not (out / "report.json").exists()
+
 
 _REFUSED = {
     # k |u| overflows the stress scale

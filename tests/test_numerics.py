@@ -342,7 +342,6 @@ def test_overflowed_sigma_is_refused():
     assert info.value.reason == "out_of_range"
 
 
-
 class _NumpyWithoutSteps:
     """numpy, except that np.subtract, the first call of every viscous step,
     fails the test."""
@@ -361,6 +360,7 @@ def test_run_over_the_step_budget_is_refused_before_its_first_step(monkeypatch):
     with pytest.raises(Refusal, match=budget) as info:
         viscous_solve(State(0.0, 0.0), State(0.0, 0.0), Params(1e42), cfg)
     assert info.value.reason == "out_of_range"
+
 
 # the oracle_sweep problems, on its full-plane window and on the quarter plane
 _DIGEST_LABELS = ("3a", "4a", "5a", "6a", "7a", "8a")
