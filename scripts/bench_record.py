@@ -14,7 +14,7 @@ machine, both commits, and for each workload and end-to-end metric of
 BENCHMARK.json every run, each side's median and quartiles and, with a
 parent, the number of pairs the change won (ties count for neither) and the
 verdict: the move of the change's median, whether it is within the metric's
-bound, and whether a gain is resolved.
+bound, whether a gain is resolved, and whether the metric is unresolved.
 Standard library only.
 """
 
@@ -61,19 +61,27 @@ def change_wins(parent: list[float], change: list[float], better: str) -> int:
 
 def verdict(entry: dict, pairs: int) -> dict:
     """The change's median against the parent's: its relative move (None on a
-    zero parent median), whether it stays within the metric's bound, and
-    whether a gain is resolved, i.e. won in nine tenths of the pairs by more
-    than the parent's interquartile range."""
+    zero parent median), whether it stays within the metric's bound, whether
+    a gain is resolved, i.e. won in nine tenths of the pairs by more than the
+    parent's interquartile range, and whether the metric is unresolved: the
+    parent's own runs spread (max - min) by more than the bound times their
+    median, so a move within that spread says nothing, unless every change
+    run beats every parent run."""
     parent, change = entry["parent"]["median"], entry["change"]["median"]
+    parent_runs, change_runs = entry["parent"]["runs"], entry["change"]["runs"]
     if entry["better"] == "higher":
         within = change >= parent * (1.0 - entry["bound"])
+        separated = min(change_runs) > max(parent_runs)
     else:
         within = change <= parent * (1.0 + entry["bound"])
+        separated = max(change_runs) < min(parent_runs)
     spread = entry["parent"]["q3"] - entry["parent"]["q1"]
     return {
         "move": change / parent - 1.0 if parent else None,
         "within_bound": within,
         "gain_resolved": 10 * entry["change_wins"] >= 9 * pairs and abs(change - parent) > spread,
+        "unresolved": max(parent_runs) - min(parent_runs) > entry["bound"] * abs(parent)
+        and not separated,
     }
 
 

@@ -31,7 +31,14 @@ import numpy as np
 from .boundary import QuarterPlaneSolution, solve_ibvp
 from .core import ConfigError, Params, Refusal, Shock, State, Wave, _check_number
 from .curves import _AUDIT_TOL, DEFAULT_TOL
-from .numerics import ViscousConfig, ViscousField, l1_distance, viscous_solve, write_field_csv
+from .numerics import (
+    ViscousConfig,
+    ViscousField,
+    _write_artifact,
+    l1_distance,
+    viscous_solve,
+    write_field_csv,
+)
 from .riemann import sample_many
 from .verify import all_shocks_admissible, fan_continuity_error, max_rh_residual, waves_ordered
 
@@ -39,6 +46,9 @@ __all__ = ["ProblemConfig", "ConfigError", "Refusal", "run", "main"]
 
 REPORT_SCHEMA = 1
 MODES = ("exact", "exact+viscous")
+# the default viscous grid is 4 cells per sample point, at most the grid of
+# the vanishing-viscosity criterion: its step count grows as nx^2
+_DEFAULT_VISCOUS_MAX_NX = 2000
 
 
 # flag, config field, flag type, help: the parser, the merge of flags over
@@ -220,7 +230,7 @@ def run(cfg: ProblemConfig) -> None:
             epsilon=0.005,
             x_min=0.0,
             x_max=cfg.x_max,
-            nx=max(16, 4 * cfg.nx),
+            nx=min(max(16, 4 * cfg.nx), _DEFAULT_VISCOUS_MAX_NX),
             t_end=cfg.t,
         )
         field = viscous_solve(boundary, initial, p, vcfg)
@@ -231,8 +241,7 @@ def run(cfg: ProblemConfig) -> None:
             "field_csv": "viscous.csv",
         }
 
-    with open(out / "report.json", "w") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_artifact(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     if not ok:
         raise Refusal("verification", f"verification failure: {verification}")

@@ -13,6 +13,7 @@ exact sampled solution in L1, which is what the convergence tests measure.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -236,14 +237,42 @@ def write_field_csv(field: ViscousField, path: str | Path) -> None:
     to the same float, so the decimals round-trip exactly.  The u,sigma part
     of a row is formatted once per run of equal (u, sigma) rows, and the
     whole file is built as one string, by one %-format over the interleaved
-    (x, row tail) pairs, and written in one write.
+    (x, row tail) pairs, and written by ``_write_artifact``: an existing
+    file is rewritten in place and cut to length, and a failed write leaves
+    it empty.
     """
     n = len(field.x)
     rows = [None] * (2 * n)
     rows[::2] = np.asarray(field.x, dtype=np.float64).tolist()
     rows[1::2] = _row_tails(field.u, field.sigma)
-    with open(path, "w", newline="") as fh:
-        fh.write(("x,u,sigma\r\n" + "%r%s" * n) % tuple(rows))
+    _write_artifact(path, ("x,u,sigma\r\n" + "%r%s" * n) % tuple(rows))
+
+
+def _write_artifact(path: str | Path, text: str) -> None:
+    """Make ``text`` the whole content of the file at ``path``; every file
+    the package writes goes through here.
+
+    The file is opened without O_TRUNC and written over, then cut to the new
+    length, so a rerun reuses the old file's blocks instead of freeing them
+    first (on a filesystem that discards freed blocks, the truncate costs
+    several times the write).  A new file gets mode 0o666 less the umask, as
+    ``open`` gives it.  If the write or the cut fails the file is cut to
+    zero length and the OSError is raised: new bytes never sit in front of
+    an old tail.  Every artifact is ASCII, so the bytes are those a
+    text-mode ``open`` would write.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        os.ftruncate(fd, len(data))
+    except OSError:
+        os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
 
 
 def _row_tails(u: np.ndarray, sigma: np.ndarray) -> list[str]:

@@ -1,7 +1,10 @@
 import dataclasses
+import errno
 import hashlib
 import json
 import math
+import os
+import stat
 import tempfile
 import warnings
 from pathlib import Path
@@ -86,6 +89,17 @@ def test_reproducible_artifacts(tmp_path):
     assert code_a == code_b == 0
     assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
     assert (out_a / "samples.csv").read_bytes() == (out_b / "samples.csv").read_bytes()
+
+    # a rerun writes over the old artifacts in place: over longer files (nx
+    # 10^4 -> 33), then over shorter ones (33 -> 10^4), each cut to length
+    big = [*args[:-1], str(10**4)]
+    code_big, out_big = run_cli(tmp_path, "big", big)
+    code_c, out_c = run_cli(tmp_path, "c", big)
+    assert code_big == code_c == 0
+    for rerun, fresh in [(args, out_a), (big, out_big)]:
+        assert run_cli(tmp_path, "c", rerun)[0] == 0
+        for name in ("report.json", "samples.csv"):
+            assert (out_c / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def _byte_configs():
@@ -331,15 +345,61 @@ def test_json_non_numbers_exit_2(tmp_path, capsys, top, viscous, field):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+@pytest.mark.parametrize("below", ["", "sub", None], ids=["file", "under-file", "samples-dir"])
 def test_unwritable_out_exits_2(tmp_path, capsys, below):
     blocker = tmp_path / "blocker"
-    blocker.write_text("not a directory")
-    code = main([*_PROBLEM_FLAGS, "--out", str(blocker / below)])
+    if below is None:
+        # a directory where samples.csv should be written
+        (blocker / "samples.csv").mkdir(parents=True)
+        out = blocker
+    else:
+        blocker.write_text("not a directory")
+        out = blocker / below
+    code = main([*_PROBLEM_FLAGS, "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: out:")
-    assert blocker.read_text() == "not a directory"
+    if below is None:
+        assert sorted(p.name for p in blocker.iterdir()) == ["samples.csv"]
+    else:
+        assert blocker.read_text() == "not a directory"
+
+
+def test_failed_write_exits_2_and_leaves_the_artifact_empty(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert main([*_PROBLEM_FLAGS, "--out", str(out)]) == 0
+    report = (out / "report.json").read_bytes()
+    write = os.write
+    calls = []
+
+    def full_after_a_few_bytes(fd, data):
+        calls.append(fd)
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write(fd, data[:5])
+
+    monkeypatch.setattr(os, "write", full_after_a_few_bytes)
+    # the rerun's first artifact fails part way, over the old, longer file
+    code = main([*_PROBLEM_FLAGS, "--nx", "7", "--out", str(out)])
+    monkeypatch.undo()
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: out: cannot write {out}:")
+    assert len(calls) == 2
+    assert (out / "samples.csv").read_bytes() == b""
+    assert (out / "report.json").read_bytes() == report
+
+
+def test_new_artifacts_get_the_mode_open_gives(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        code, out = run_cli(
+            tmp_path, "out", [*_PROBLEM_FLAGS, "--nx", "4", "--mode", "exact+viscous"]
+        )
+    finally:
+        os.umask(umask)
+    assert code == 0
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert modes == dict.fromkeys(["report.json", "samples.csv", "viscous.csv"], 0o640)
 
 
 @pytest.mark.parametrize(
@@ -492,6 +552,16 @@ def test_overflowed_viscous_sigma_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: viscous sigma is not finite at t=1e-160")
     assert not (out / "viscous.csv").exists()
     assert not (out / "report.json").exists()
+
+
+def test_default_viscous_grid_is_capped(tmp_path):
+    # 4 cells per sample point would be 2400; the cap keeps it at 2000, about
+    # 500 steps at eps = 0.005 and t = 0.01
+    code, out = run_cli(tmp_path, "capped", [
+        *_PROBLEM_FLAGS, "--nx", "600", "--t", "0.01", "--xmax", "1", "--mode", "exact+viscous",
+    ])
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["viscous"]["nx"] == 2000
 
 
 def test_viscous_run_over_the_step_budget_exits_3(tmp_path, capsys):

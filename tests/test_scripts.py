@@ -64,3 +64,4 @@ def test_bench_record_writes_both_sides(tmp_path):
         assert isinstance(metric["move"], float)
         assert isinstance(metric["within_bound"], bool)
         assert isinstance(metric["gain_resolved"], bool)
+        assert isinstance(metric["unresolved"], bool)

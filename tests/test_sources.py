@@ -4,8 +4,9 @@ They catch what a refactor tends to leave behind: an import that nothing
 uses, and a private module-level def in the package that nothing calls.
 In the package they also hold the numeric and error rules: tolerances are
 named constants, no float is raised to a power, no handler is broad
-enough to catch a bug as if it were a refusal, and the oracles stay
-independent: they import the solver only, never each other.
+enough to catch a bug as if it were a refusal, the oracles stay
+independent: they import the solver only, never each other, and every
+file is written by one writer.
 """
 
 import ast
@@ -168,3 +169,46 @@ def _sibling_imports(tree: ast.Module) -> set[str]:
 def test_solver_and_oracles_import_only_the_solver(path):
     outside = sorted(_sibling_imports(_tree(path)) - _SOLVER)
     assert not outside, f"{path.name} imports {outside}, outside the solver {sorted(_SOLVER)}"
+
+
+# the one function that opens a file for writing, and where it lives
+_WRITER = ("numerics.py", "_write_artifact")
+
+
+def _write_opens(tree: ast.Module, skip: ast.AST | None = None) -> list[ast.Call]:
+    """Calls that open a file for writing: ``os.open``, ``write_text`` or
+    ``write_bytes``, and ``open`` with a mode that is not a read-only
+    literal.  Calls inside ``skip`` are not counted."""
+    skipped = {id(node) for node in ast.walk(skip)} if skip else set()
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in skipped:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("write_text", "write_bytes") or (
+            name == "open" and isinstance(func, ast.Attribute) and ast.unparse(func.value) == "os"
+        ):
+            found.append(node)
+        elif name == "open":
+            # builtin open(file, mode), Path.open(mode)
+            args = node.args[1:] if isinstance(func, ast.Name) else node.args
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), None)
+            mode = mode or (args[0] if args else ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+")):
+                found.append(node)
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_files_are_written_by_one_writer(path):
+    # one home for the write policy: in place, cut to length, empty on failure
+    tree = _tree(path)
+    writer = next(
+        (node for node in tree.body
+         if isinstance(node, ast.FunctionDef) and (path.name, node.name) == _WRITER),
+        None,
+    )
+    found = sorted(node.lineno for node in _write_opens(tree, skip=writer))
+    assert not found, f"{path.name} opens a file for writing outside {_WRITER[1]} on lines {found}"
+    assert writer is not None or path.name != _WRITER[0], f"{_WRITER[1]} is not in {path.name}"
