@@ -175,7 +175,7 @@ def test_solver_and_oracles_import_only_the_solver(path):
 _WRITER = ("numerics.py", "_write_artifact")
 
 
-def _write_opens(tree: ast.Module, skip: ast.AST | None = None) -> list[ast.Call]:
+def _write_opens(tree: ast.Module, skip: ast.AST | None) -> list[ast.Call]:
     """Calls that open a file for writing: ``os.open``, ``write_text`` or
     ``write_bytes``, and ``open`` with a mode that is not a read-only
     literal.  Calls inside ``skip`` are not counted."""
