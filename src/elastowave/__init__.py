@@ -42,10 +42,10 @@ from .verify import (
 from .numerics import (
     ViscousConfig,
     ViscousField,
+    field_csv,
     front_position,
     l1_distance,
     viscous_solve,
-    write_field_csv,
 )
 
 __version__ = "0.1.0"

@@ -14,6 +14,12 @@ In ``exact+viscous`` mode a viscous oracle run is added, its field goes
 to viscous.csv and its L1 distance to the exact solution is appended to
 the report.
 
+Every artifact's text is computed before the first file is touched, and
+this module is the only one that writes files.  So a run refused for
+out_of_range or viscous_diverged writes nothing and leaves an existing
+output directory as it was; a run refused for verification writes its
+artifacts first, so that its report carries the failing summary.
+
 Exit codes: 0 success, 2 config error, 3 a Refusal (out_of_range,
 viscous_diverged or verification); any other exception is a bug.
 """
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -31,14 +38,7 @@ import numpy as np
 from .boundary import QuarterPlaneSolution, solve_ibvp
 from .core import ConfigError, Params, Refusal, Shock, State, Wave, _check_number
 from .curves import _AUDIT_TOL, DEFAULT_TOL
-from .numerics import (
-    ViscousConfig,
-    ViscousField,
-    _write_artifact,
-    l1_distance,
-    viscous_solve,
-    write_field_csv,
-)
+from .numerics import ViscousConfig, ViscousField, field_csv, l1_distance, viscous_solve
 from .riemann import sample_many
 from .verify import all_shocks_admissible, fan_continuity_error, max_rh_residual, waves_ordered
 
@@ -201,12 +201,7 @@ def run(cfg: ProblemConfig) -> None:
         x = np.arange(1, cfg.nx + 1) * float(cfg.x_max) / cfg.nx
         xi = x / cfg.t
     u, sigma = sample_many(sol.structure, xi, p)
-    # the field checks the grid, so a refused grid leaves no directory behind
-    samples = ViscousField(x=x, u=u, sigma=sigma, t=cfg.t)
-
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_field_csv(samples, out / "samples.csv")
+    artifacts = {"samples.csv": field_csv(ViscousField(x=x, u=u, sigma=sigma, t=cfg.t))}
 
     report = {
         "schema": REPORT_SCHEMA,
@@ -234,17 +229,50 @@ def run(cfg: ProblemConfig) -> None:
             t_end=cfg.t,
         )
         field = viscous_solve(boundary, initial, p, vcfg)
-        write_field_csv(field, out / "viscous.csv")
+        artifacts["viscous.csv"] = field_csv(field)
         report["viscous"] = {
             **asdict(vcfg),
             "l1_distance": l1_distance(field, sol),
             "field_csv": "viscous.csv",
         }
+    artifacts["report.json"] = json.dumps(report, indent=2, sort_keys=True) + "\n"
 
-    _write_artifact(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+    # every computation, and so every refusal but the audit's, comes before
+    # the first write: a refused run leaves --out as it was
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in artifacts.items():
+        _write_artifact(out / name, text)
 
     if not ok:
         raise Refusal("verification", f"verification failure: {verification}")
+
+
+def _write_artifact(path: str | Path, text: str) -> None:
+    """Make ``text`` the whole content of the file at ``path``; every file
+    the package writes goes through here.
+
+    The file is opened without O_TRUNC and written over, then cut to the new
+    length, so a rerun reuses the old file's blocks instead of freeing them
+    first (on a filesystem that discards freed blocks, the truncate costs
+    several times the write).  A new file gets mode 0o666 less the umask, as
+    ``open`` gives it.  If the write or the cut fails the file is cut to
+    zero length and the OSError is raised: new bytes never sit in front of
+    an old tail.  Every artifact is ASCII, so the bytes are those a
+    text-mode ``open`` would write.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        os.ftruncate(fd, len(data))
+    except OSError:
+        os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,9 +13,7 @@ exact sampled solution in L1, which is what the convergence tests measure.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +27,7 @@ __all__ = [
     "viscous_solve",
     "l1_distance",
     "front_position",
-    "write_field_csv",
+    "field_csv",
 ]
 
 # about 100x the 9,756 steps of the largest vanishing-viscosity run
@@ -112,8 +110,9 @@ def viscous_solve(
     10 (1 + max(|u_b|, |u_0|) + k): a larger or NaN value, or a step size
     that underflows to zero, raises Refusal("viscous_diverged").  A returned
     sigma that is not finite raises Refusal("out_of_range"), and so does a
-    run whose fewest possible steps, t_end max(k / (cfl dx), 2.5 eps / dx^2),
-    exceed _MAX_STEPS; that one is refused before its first step.
+    run whose fewest possible steps, t_end max((|u_b| + k) / (cfl dx),
+    2.5 eps / dx^2), exceed _MAX_STEPS; that one is refused before its first
+    step.  The bound holds because u[0] = u_b at every step.
 
     The diffusive cap dt <= dx^2 / (2.5 eps) keeps the diffusion number
     d = eps dt / dx^2 at or below 0.4.  On each Riemann invariant the
@@ -176,8 +175,11 @@ def viscous_solve(
                 "viscous_diverged", f"step size collapsed at t={t:.6g} (max speed {amax:.6g})"
             )
         if t == 0.0:
-            # every dt is below both caps, so no run takes fewer steps
-            fewest = cfg.t_end * max(p.k / (cfg.cfl * dx), 2.5 * eps / (dx * dx))
+            # u[0] = u_b at every step, so every dt is below both caps and
+            # no run takes fewer steps
+            fewest = cfg.t_end * max(
+                (abs(boundary.u) + p.k) / (cfg.cfl * dx), 2.5 * eps / (dx * dx)
+            )
             if fewest > _MAX_STEPS:
                 raise Refusal("out_of_range", (
                     f"viscous run needs at least {fewest:.3g} steps, "
@@ -203,17 +205,23 @@ def viscous_solve(
         t += dt
 
 
+# no warnings: an overflow ends in the finiteness check
+@np.errstate(all="ignore")
 def l1_distance(field: ViscousField, exact: QuarterPlaneSolution) -> float:
     """Trapezoidal L1 distance at the field's snapshot time, u and sigma
-    components summed."""
+    components summed; a distance that is not finite raises
+    Refusal("out_of_range")."""
     if field.x.size < 2:
         raise ValueError("field grid is degenerate")
     xi = field.x / field.t
     ue, se = sample_many(exact.structure, xi, exact.params)
-    return float(
+    distance = float(
         np.trapezoid(np.abs(field.u - ue), field.x)
         + np.trapezoid(np.abs(field.sigma - se), field.x)
     )
+    if not math.isfinite(distance):
+        raise Refusal("out_of_range", f"l1_distance is not finite ({distance})")
+    return distance
 
 
 def front_position(field: ViscousField, level: float) -> float:
@@ -230,49 +238,20 @@ def front_position(field: ViscousField, level: float) -> float:
     return float(field.x[i] + frac * (field.x[i + 1] - field.x[i]))
 
 
-def write_field_csv(field: ViscousField, path: str | Path) -> None:
-    """Snapshot as CSV with columns x,u,sigma and \\r\\n line ends.
+def field_csv(field: ViscousField) -> str:
+    """Snapshot as CSV text with columns x,u,sigma and \\r\\n line ends.
 
     Each value is written as its repr, the shortest decimal that reads back
     to the same float, so the decimals round-trip exactly.  The u,sigma part
     of a row is formatted once per run of equal (u, sigma) rows, and the
-    whole file is built as one string, by one %-format over the interleaved
-    (x, row tail) pairs, and written by ``_write_artifact``: an existing
-    file is rewritten in place and cut to length, and a failed write leaves
-    it empty.
+    whole text is built by one %-format over the interleaved (x, row tail)
+    pairs.  Writing it is the caller's business.
     """
     n = len(field.x)
     rows = [None] * (2 * n)
     rows[::2] = np.asarray(field.x, dtype=np.float64).tolist()
     rows[1::2] = _row_tails(field.u, field.sigma)
-    _write_artifact(path, ("x,u,sigma\r\n" + "%r%s" * n) % tuple(rows))
-
-
-def _write_artifact(path: str | Path, text: str) -> None:
-    """Make ``text`` the whole content of the file at ``path``; every file
-    the package writes goes through here.
-
-    The file is opened without O_TRUNC and written over, then cut to the new
-    length, so a rerun reuses the old file's blocks instead of freeing them
-    first (on a filesystem that discards freed blocks, the truncate costs
-    several times the write).  A new file gets mode 0o666 less the umask, as
-    ``open`` gives it.  If the write or the cut fails the file is cut to
-    zero length and the OSError is raised: new bytes never sit in front of
-    an old tail.  Every artifact is ASCII, so the bytes are those a
-    text-mode ``open`` would write.
-    """
-    data = text.encode()
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        rest = memoryview(data)
-        while rest:
-            rest = rest[os.write(fd, rest):]
-        os.ftruncate(fd, len(data))
-    except OSError:
-        os.ftruncate(fd, 0)
-        raise
-    finally:
-        os.close(fd)
+    return ("x,u,sigma\r\n" + "%r%s" * n) % tuple(rows)
 
 
 def _row_tails(u: np.ndarray, sigma: np.ndarray) -> list[str]:

@@ -550,8 +550,7 @@ def test_overflowed_viscous_sigma_exits_3(tmp_path, capsys):
     ])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: viscous sigma is not finite at t=1e-160")
-    assert not (out / "viscous.csv").exists()
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_default_viscous_grid_is_capped(tmp_path):
@@ -574,9 +573,28 @@ def test_viscous_run_over_the_step_budget_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "error: viscous run needs at least 1.88e+07 steps, over the budget of 1000000 steps"
     )
-    assert not (out / "viscous.csv").exists()
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
+
+def test_refused_rerun_leaves_the_previous_artifacts_as_they_were(tmp_path, capsys):
+    # the step-budget refusal comes after the exact run's artifacts are
+    # computed, but before any of them is written
+    code, out = run_cli(tmp_path, "rerun", [*_PROBLEM_FLAGS, "--nx", "5"])
+    assert code == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code, _ = run_cli(tmp_path, "rerun", [
+        *_PROBLEM_FLAGS, "--k", "1e6", "--t", "0.5", "--xmax", "1", "--nx", "3",
+        "--mode", "exact+viscous",
+    ])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: viscous run needs at least")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+# the L1 distance of this viscous run to the exact solution overflows
+_INFINITE_L1 = dict(k=0.28679586886126796, u_b=-1.832680576555047e+154, sigma_b=0.0,
+                    u_0=0.0027344255151529346, sigma_0=-0.0, t=0.012817958613781393,
+                    x_max=1.6919839846193097e+165, mode="exact+viscous")
 
 _REFUSED = {
     # k |u| overflows the stress scale
@@ -587,6 +605,10 @@ _REFUSED = {
                        "out_of_range"),
     "shock flank underflow": (dict(k=1.0, u_b=0.0, sigma_b=0.0, u_0=0.0, sigma_0=5e-324),
                               "out_of_range"),
+    # 16 cells at k = 1e6 need at least 1.9e7 steps
+    "viscous step budget": (dict(k=1e6, u_b=0.0, sigma_b=0.0, u_0=0.0, sigma_0=0.0, t=0.5,
+                                 x_max=1.0, nx=3, mode="exact+viscous"), "out_of_range"),
+    "infinite l1": (_INFINITE_L1, "out_of_range"),
     # crossing shocks: the artifacts are written, then the run is refused
     "unordered": (dict(k=1.0, u_b=3.0, sigma_b=0.0, u_0=-3.0, sigma_0=0.0), "verification"),
 }
@@ -610,9 +632,14 @@ _REFUSED = {
         # the viscous dx^2 underflows to zero before the dt check refuses
         ([*_PROBLEM_FLAGS, "--xmax", "1e-320", "--nx", "2", "--mode", "exact+viscous"],
          "error: step size collapsed"),
+        # the L1 distance overflows in its trapezoid sums
+        (["--k=0.28679586886126796", "--ub=-1.832680576555047e+154", "--sb=0",
+          "--u0=0.0027344255151529346", "--s0=-0", "--t=0.012817958613781393",
+          "--xmax=1.6919839846193097e+165", "--nx=101", "--mode=exact+viscous"],
+         "error: l1_distance is not finite (inf)"),
     ],
     ids=["xi-overflow", "x-overflow", "viscous-overflow", "viscous-step-budget",
-         "viscous-dx-underflow"],
+         "viscous-dx-underflow", "l1-overflow"],
 )
 def test_no_numpy_warning_reaches_stderr(tmp_path, capsys, args, err):
     with warnings.catch_warnings():

@@ -13,12 +13,12 @@ from elastowave import (
     State,
     ViscousConfig,
     ViscousField,
+    field_csv,
     front_position,
     l1_distance,
     sample_many,
     solve_ibvp,
     viscous_solve,
-    write_field_csv,
 )
 from elastowave import numerics
 from elastowave.core import ConfigError, Refusal
@@ -263,11 +263,9 @@ def test_front_position_skips_a_flat_run_on_the_level():
     assert front_position(field, 0.5) == x[1]
 
 
-def test_field_csv_rejects_columns_of_unequal_length(tmp_path):
+def test_field_csv_rejects_columns_of_unequal_length():
     with pytest.raises(ValueError, match="length"):
-        field = ViscousField(x=np.arange(3.0), u=np.zeros(2), sigma=np.zeros(3), t=1.0)
-        write_field_csv(field, tmp_path / "field.csv")
-    assert not (tmp_path / "field.csv").exists()
+        field_csv(ViscousField(x=np.arange(3.0), u=np.zeros(2), sigma=np.zeros(3), t=1.0))
 
 
 def test_field_refuses_columns_that_are_not_one_dimensional_and_equal():
@@ -353,13 +351,16 @@ class _NumpyWithoutSteps:
 
 
 def test_run_over_the_step_budget_is_refused_before_its_first_step(monkeypatch):
-    # at k = 1e42 the advective cap alone asks for t_end k / (cfl dx) steps
     cfg = ViscousConfig(epsilon=0.005, x_min=0.0, x_max=1.0, nx=16, t_end=0.5)
     monkeypatch.setattr(numerics, "np", _NumpyWithoutSteps())
-    budget = r"needs at least 1\.87e\+43 steps, over the budget of 1000000 steps"
-    with pytest.raises(Refusal, match=budget) as info:
-        viscous_solve(State(0.0, 0.0), State(0.0, 0.0), Params(1e42), cfg)
-    assert info.value.reason == "out_of_range"
+    # the advective cap alone asks for t_end (|u_b| + k) / (cfl dx) steps: at
+    # k = 1e42, and at k = 1 with |u_b| = 1e40, since the boundary cell holds
+    # u_b at every step
+    for u_b, k, fewest in ((0.0, 1e42, r"1\.87e\+43"), (-1e40, 1.0, r"1\.87e\+41")):
+        budget = rf"needs at least {fewest} steps, over the budget of 1000000 steps"
+        with pytest.raises(Refusal, match=budget) as info:
+            viscous_solve(State(u_b, 0.0), State(0.0, 0.0), Params(k), cfg)
+        assert info.value.reason == "out_of_range"
 
 
 # the oracle_sweep problems, on its full-plane window and on the quarter plane
@@ -477,13 +478,11 @@ def test_sigma_shift_near_overflow_stays_finite_and_silent():
     assert np.all(np.isfinite(field.u)) and np.all(np.isfinite(field.sigma))
 
 
-def test_field_csv_round_trip(tmp_path):
+def test_field_csv_round_trip():
     g = golden_by_label("4a")
     cfg = ViscousConfig(epsilon=0.02, x_min=-0.5, x_max=1.0, nx=64, t_end=0.05)
     field = viscous_solve(g.boundary, g.initial, K1, cfg)
-    path = tmp_path / "field.csv"
-    write_field_csv(field, path)
-    lines = path.read_text().strip().splitlines()
+    lines = field_csv(field).strip().splitlines()
     assert lines[0] == "x,u,sigma"
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert np.array_equal(data[:, 0], field.x)
@@ -492,7 +491,7 @@ def test_field_csv_round_trip(tmp_path):
 
 
 def _csv_module_reference(field, path):
-    """Reference for write_field_csv: the csv module, which writes a Python
+    """Reference for field_csv: the csv module, which writes a Python
     float as its repr and ends each row with \\r\\n."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -501,9 +500,8 @@ def _csv_module_reference(field, path):
 
 
 def _assert_csv_bytes_match_reference(field, directory):
-    write_field_csv(field, directory / "field.csv")
     _csv_module_reference(field, directory / "reference.csv")
-    assert (directory / "field.csv").read_bytes() == (directory / "reference.csv").read_bytes()
+    assert field_csv(field).encode() == (directory / "reference.csv").read_bytes()
 
 
 def _exact_two_fan_field():

@@ -172,7 +172,7 @@ def test_solver_and_oracles_import_only_the_solver(path):
 
 
 # the one function that opens a file for writing, and where it lives
-_WRITER = ("numerics.py", "_write_artifact")
+_WRITER = ("cli.py", "_write_artifact")
 
 
 def _write_opens(tree: ast.Module, skip: ast.AST | None) -> list[ast.Call]:
