@@ -112,7 +112,7 @@ def viscous_solve(
     sigma that is not finite raises Refusal("out_of_range"), and so does a
     run whose fewest possible steps, t_end max((|u_b| + k) / (cfl dx),
     2.5 eps / dx^2), exceed _MAX_STEPS; that one is refused before its first
-    step.  The bound holds because u[0] = u_b at every step.
+    step.
 
     The diffusive cap dt <= dx^2 / (2.5 eps) keeps the diffusion number
     d = eps dt / dx^2 at or below 0.4.  On each Riemann invariant the
