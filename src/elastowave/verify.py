@@ -174,6 +174,10 @@ class WeakFormGrid:
         return replace(self, nx=2 * self.nx, nt=2 * self.nt)
 
 
+# t-rows per block of the weak-form audit: 2^15 cells, 256 KB per float field
+_BLOCK_CELLS = 1 << 15
+
+
 def _bumps(c: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """The bump exp(1 - 1/(1 - z^2)) on |z| < 1 and its derivative in c,
     where z maps [lo, hi], then its lower and its upper half, onto (-1, 1):
@@ -218,16 +222,16 @@ def weak_residual(
     worst residual over the test bumps, each divided by its test mass, one
     per equation: NaN if any of them is NaN, and inf or NaN if a bump's
     test mass underflows to zero.
+
+    The grid is sampled in blocks of whole t-rows of at most 2^15 cells
+    (``_BLOCK_CELLS``; one row when nx is larger), so each sampled field
+    holds at most 2^15 floats, or one row, at a time, whatever nt is.  Each
+    block adds its share to the 3x3 sums, so the values equal the
+    single-pass sums up to the rounding of the sums over t.
     """
     ws: WaveStructure = getattr(sol, "structure", sol)
     x = np.linspace(grid.x_min, grid.x_max, grid.nx)
     t = np.linspace(grid.t_min, grid.t_max, grid.nt)
-
-    xi = x[None, :] / t[:, None]
-    U, S = sample_many(ws, xi, p)
-    # classical d(sigma)/dx, delta parts excluded
-    USX = U * (_sigma_xi_slope(ws, xi, p) / t[:, None])
-    F = 0.5 * U * U - S
 
     # trapezoid weights
     wx = np.full(grid.nx, x[1] - x[0])
@@ -239,11 +243,23 @@ def weak_residual(
 
     # Each test function is a product bt(t) bx(x) over one of the three
     # intervals per axis, so every weighted grid sum of M * phi is an entry
-    # of the 3x3 matrix (wt*Bt) @ M @ (wx*Bx).T.
+    # of the 3x3 matrix (wt*Bt) @ M @ (wx*Bx).T, summed here over blocks of
+    # t-rows.
     bt, btd = (wt * rows for rows in _bumps(t, grid.t_min, grid.t_max))
     bx, bxd = (wx * rows for rows in _bumps(x, grid.x_min, grid.x_max))
-    r1 = -(btd @ U @ bx.T + bt @ F @ bxd.T)
-    r2 = -(btd @ S @ bx.T - bt @ USX @ bx.T - p.k * p.k * (bt @ U @ bxd.T))
+    r1 = np.zeros((3, 3))
+    r2 = np.zeros((3, 3))
+    rows = max(1, _BLOCK_CELLS // grid.nx)
+    for i in range(0, grid.nt, rows):
+        tb = t[i : i + rows, None]
+        xi = x / tb
+        U, S = sample_many(ws, xi, p)
+        # classical d(sigma)/dx, delta parts excluded
+        USX = U * (_sigma_xi_slope(ws, xi, p) / tb)
+        F = 0.5 * U * U - S
+        bt_b, btd_b = bt[:, i : i + rows], btd[:, i : i + rows]
+        r1 -= btd_b @ U @ bx.T + bt_b @ F @ bxd.T
+        r2 -= btd_b @ S @ bx.T - bt_b @ USX @ bx.T - p.k * p.k * (bt_b @ U @ bxd.T)
     for sh in ws.waves:
         if isinstance(sh, Shock):
             ubar = 0.5 * (sh.left.u + sh.right.u)

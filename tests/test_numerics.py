@@ -464,6 +464,23 @@ def test_viscous_digests_are_pinned(name):
     assert _field_digest(viscous_solve(boundary, initial, p, cfg)) == _VISCOUS_DIGESTS[name]
 
 
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("n", [2, 5, 16, 1000, 2001])
+def test_aligned_buffer_puts_item_first_on_a_cache_line(n, first):
+    # the buffers are kept alive, so that the allocator hands out new places
+    buffers = [numerics._aligned(n, first) for _ in range(32)]
+    for a in buffers:
+        assert a.shape == (n,) and a.dtype == np.float64
+        assert a[first:].ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("nx", [16, 200, 1000])
+def test_viscous_interior_starts_on_a_cache_line(nx):
+    g = golden_by_label("3a")
+    cfg = ViscousConfig(epsilon=0.02, x_min=-1.0, x_max=2.2, nx=nx, t_end=0.05)
+    assert viscous_solve(g.boundary, g.initial, K1, cfg).u[1:].ctypes.data % 64 == 0
+
+
 def test_sigma_shift_near_overflow_stays_finite_and_silent():
     # sigma -> sigma + c maps solutions to solutions, so a huge common shift
     # of both sigmas must not reach the u row or overflow anywhere

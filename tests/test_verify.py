@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from elastowave import (
     waves_ordered,
     weak_residual,
 )
+from elastowave import verify
 from elastowave.core import ConfigError
 from elastowave.riemann import sample_many
 from elastowave.verify import _sigma_xi_slope
@@ -303,6 +305,50 @@ def test_weak_residual_matches_dense_reference(ws):
     want = _dense_weak_residual(ws, K1, grid)
     assert max(got) > 1e-6  # a vanishing residual would compare nothing
     assert got == pytest.approx(want, rel=0.0, abs=1e-13)
+
+
+# 48 x 40 grids in blocks of 1 row, of 3 rows (13 x 3 + 1), and whole
+_BLOCKINGS = {"1-row": (48, [1] * 40), "3-row": (3 * 48, [3] * 13 + [1]),
+              "one-block": (verify._BLOCK_CELLS, [40])}
+
+
+@pytest.mark.parametrize("blocking", list(_BLOCKINGS))
+@pytest.mark.parametrize("ws", _weak_reference_structures())
+def test_weak_residual_blocks_match_dense_reference(ws, blocking, monkeypatch):
+    block_cells, block_rows = _BLOCKINGS[blocking]
+    sampled = []
+
+    def recording_sample_many(ws, xi, p):
+        sampled.append(xi.shape)
+        return sample_many(ws, xi, p)
+
+    monkeypatch.setattr(verify, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(verify, "sample_many", recording_sample_many)
+    grid = WeakFormGrid(0.03, 2.43, 0.35, 1.15, 48, 40)
+    got = weak_residual(ws, K1, grid)
+    assert sampled == [(rows, 48) for rows in block_rows]
+    assert got == pytest.approx(_dense_weak_residual(ws, K1, grid), rel=0.0, abs=1e-13)
+
+
+def test_weak_residual_holds_less_than_one_field():
+    # tracemalloc sees numpy's buffers: one (nt, nx) float field of this
+    # 1000 x 1000 grid is 8 MB, and the peak must stay below it
+    g = golden_by_label("5a")
+    sol = solve_ibvp(g.boundary, g.initial, K1)
+    grid = WeakFormGrid(0.03, 2.43, 0.35, 1.15, 1000, 1000)
+    field_bytes = 8 * grid.nx * grid.nt
+    tracemalloc.start()
+    try:
+        field = np.ones((grid.nt, grid.nx))
+        assert tracemalloc.get_traced_memory()[0] >= field_bytes
+        del field
+        tracemalloc.reset_peak()
+        residuals = weak_residual(sol, K1, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(residuals) > 1e-6  # the fans were sampled
+    assert peak < field_bytes
 
 
 @pytest.mark.parametrize("label", sorted(REPRESENTATIVES))
