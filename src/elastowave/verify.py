@@ -174,7 +174,7 @@ class WeakFormGrid:
         return replace(self, nx=2 * self.nx, nt=2 * self.nt)
 
 
-# t-rows per block of the weak-form audit: 2^15 cells, 256 KB per float field
+# cells per block of t-rows in the weak-form audit: 256 KB per float field
 _BLOCK_CELLS = 1 << 15
 
 
