@@ -25,15 +25,16 @@ from .boundary import (
     CaseLabel,
     QuarterPlaneSolution,
     in_admissible_set,
-    on_curve_solution,
     solve_ibvp,
 )
 from .verify import (
     WeakFormGrid,
     all_shocks_admissible,
+    audit,
     fan_continuity_error,
     lax_check,
     max_rh_residual,
+    on_curve_solution,
     rh_residual,
     rh_scale,
     waves_ordered,

@@ -47,11 +47,10 @@ idempotence test and an independent grid scan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Params, Rarefaction, Shock, State, Wave, WaveFamily, WaveStructure
+from .core import Params, Rarefaction, Shock, State, Wave, WaveStructure
 from .curves import (
     _AUDIT_TOL,
     DEFAULT_TOL,
@@ -67,7 +66,6 @@ __all__ = [
     "QuarterPlaneSolution",
     "solve_ibvp",
     "in_admissible_set",
-    "on_curve_solution",
 ]
 
 
@@ -216,46 +214,3 @@ def in_admissible_set(boundary: State, candidate: State, p: Params) -> bool:
         return last.speed <= 0.0
     return p.k * last.xi_hi <= _AUDIT_TOL * classification_scale(boundary, candidate, p)
 
-
-def on_curve_solution(
-    family: WaveFamily,
-    boundary: State,
-    initial: State,
-    p: Params,
-    x: float,
-    t: float,
-) -> State:
-    """Closed form of the quarter-plane solution for on-curve data.
-
-    Requires the initial state to lie on the ``family`` wave curve through
-    the boundary state (equal Riemann invariant of that family).  The
-    solution is then a single wave of that family and can be written down
-    directly; this evaluator is independent of the wave-structure solver
-    and serves as a regression oracle for it.
-    """
-    if not (0.0 < x < math.inf and 0.0 < t < math.inf):
-        raise ValueError(f"point (x={x}, t={t}) outside the open quarter plane")
-    slope = family.curve_slope(p)
-    mismatch = (initial.sigma - boundary.sigma) - slope * (initial.u - boundary.u)
-    scale = classification_scale(boundary, initial, p)
-    if abs(mismatch) > DEFAULT_TOL * scale:
-        raise ValueError(
-            "initial state does not lie on the wave curve of that family "
-            f"through the boundary state (mismatch {mismatch!r})"
-        )
-    v_b = family.characteristic_speed(boundary, p)
-    v_0 = family.characteristic_speed(initial, p)
-    xi = x / t
-    if p.k * abs(initial.u - boundary.u) <= DEFAULT_TOL * scale:
-        return initial
-    if v_b < v_0:
-        # single fan between the two characteristic speeds
-        if xi < v_b:
-            return boundary
-        if xi < v_0:
-            u = xi - family.speed_offset(p)
-            return State(u=u, sigma=boundary.sigma + slope * (u - boundary.u))
-        return initial
-    # single shock; right-continuous at the shock location
-    s = 0.5 * (boundary.u + initial.u) + family.speed_offset(p)
-    return boundary if xi < s else initial

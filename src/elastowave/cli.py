@@ -35,12 +35,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import QuarterPlaneSolution, solve_ibvp
+from .boundary import solve_ibvp
 from .core import ConfigError, Params, Refusal, Shock, State, Wave, _check_number
-from .curves import _AUDIT_TOL, DEFAULT_TOL
 from .numerics import ViscousConfig, ViscousField, field_csv, l1_distance, viscous_solve
 from .riemann import sample_many
-from .verify import all_shocks_admissible, fan_continuity_error, max_rh_residual, waves_ordered
+from .verify import audit
 
 __all__ = ["ProblemConfig", "ConfigError", "Refusal", "run", "main"]
 
@@ -170,22 +169,6 @@ def _wave_json(w: Wave) -> dict:
     return base
 
 
-def _verification(sol: QuarterPlaneSolution) -> tuple[dict, bool]:
-    p = sol.params
-    rh = max_rh_residual(sol.structure, p)
-    lax_ok = all_shocks_admissible(sol.structure, p, tol=_AUDIT_TOL)
-    fan_err = fan_continuity_error(sol.structure, p)
-    ordered = waves_ordered(sol.structure, tol=DEFAULT_TOL)
-    summary = {
-        "max_rh_residual": rh,
-        "lax_ok": lax_ok,
-        "fan_continuity_error": fan_err,
-        "waves_ordered": ordered,
-    }
-    ok = rh <= _AUDIT_TOL and lax_ok and fan_err <= _AUDIT_TOL and ordered
-    return summary, ok
-
-
 def run(cfg: ProblemConfig) -> None:
     """Solve, verify and write the artifacts; Refusal("verification") if an audit fails."""
     p = Params(cfg.k)
@@ -193,12 +176,17 @@ def run(cfg: ProblemConfig) -> None:
     initial = State(cfg.u_0, cfg.sigma_0)
     sol = solve_ibvp(boundary, initial, p)
 
-    verification, ok = _verification(sol)
+    verification, ok = audit(sol.structure, p)
 
     # an overflow is inf: the field refuses such an x; xi = inf samples the right state
     with np.errstate(over="ignore"):
-        # float() keeps an integer x_max from a JSON config out of int64 arithmetic
-        x = np.arange(1, cfg.nx + 1) * float(cfg.x_max) / cfg.nx
+        try:
+            # float() keeps an integer x_max from a JSON config out of int64 arithmetic
+            x = np.arange(1, cfg.nx + 1) * float(cfg.x_max) / cfg.nx
+        except MemoryError:
+            raise Refusal(
+                "out_of_range", f"a sample grid of nx = {cfg.nx} points does not fit in memory"
+            )
         xi = x / cfg.t
     u, sigma = sample_many(sol.structure, xi, p)
     artifacts = {"samples.csv": field_csv(ViscousField(x=x, u=u, sigma=sigma, t=cfg.t))}

@@ -33,6 +33,9 @@ __all__ = [
 # about 100x the 9,756 steps of the largest vanishing-viscosity run
 # (nx = 2000, eps = 0.02 on [-1, 2.2])
 _MAX_STEPS = 10**6
+# the diffusive cap is dt <= dx^2 / (2.5 eps): a diffusion number
+# eps dt / dx^2 of at most 1 / 2.5 = 0.4
+_DIFFUSIVE_DIVISOR = 2.5
 
 
 @dataclass(frozen=True)
@@ -118,9 +121,10 @@ def viscous_solve(
     10 (1 + max(|u_b|, |u_0|) + k): a larger or NaN value, or a step size
     that underflows to zero, raises Refusal("viscous_diverged").  A returned
     sigma that is not finite raises Refusal("out_of_range"), and so does a
-    run whose fewest possible steps, t_end max((|u_b| + k) / (cfl dx),
-    2.5 eps / dx^2), exceed _MAX_STEPS; that one is refused before its first
-    step.
+    run that reaches _MAX_STEPS steps before t_end, or a grid too large to
+    allocate.  A run whose fewest possible steps, t_end max((|u_b| + k) /
+    (cfl dx), 2.5 eps / dx^2), exceed _MAX_STEPS is refused before its
+    first step.
 
     The diffusive cap dt <= dx^2 / (2.5 eps) keeps the diffusion number
     d = eps dt / dx^2 at or below 0.4.  On each Riemann invariant the
@@ -143,7 +147,10 @@ def viscous_solve(
     ``d`` and the other buffers do.
     """
     nx = cfg.nx
-    x = np.linspace(cfg.x_min, cfg.x_max, nx)
+    try:
+        x = np.linspace(cfg.x_min, cfg.x_max, nx)
+    except MemoryError:
+        raise Refusal("out_of_range", f"a viscous grid of nx = {nx} cells does not fit in memory")
     dx = x[1] - x[0]
     w = _aligned(2 * nx, first=1)
     u, sigma = w[:nx], w[nx:]
@@ -155,6 +162,8 @@ def viscous_solve(
 
     eps = cfg.epsilon
     diffusion = eps / (dx * dx)
+    cfl_dx = cfg.cfl * dx
+    diffusive_dt = dx * dx / (_DIFFUSIVE_DIVISOR * eps)
     two_dx = 2.0 * dx
     # the sigma_x term of the u equation and the k^2 u_x term of the sigma one
     coupling_u, coupling_sigma = 1.0 / two_dx, (p.k * p.k) / two_dx
@@ -171,6 +180,7 @@ def viscous_solve(
     central_u, central_sigma = central[: nx - 2], central[nx:]
     term_u, term_sigma = term[: nx - 2], term[nx:]
     t = 0.0
+    steps = 0
     while True:
         umax = float(np.abs(u, out=abs_u).max())
         if not umax <= bound:  # a NaN fails this too
@@ -182,17 +192,22 @@ def viscous_solve(
             if not np.isfinite(sigma).all():
                 raise Refusal("out_of_range", f"viscous sigma is not finite at t={t:.6g}")
             return ViscousField(x=x, u=u, sigma=sigma, t=cfg.t_end)
+        if steps == _MAX_STEPS:
+            raise Refusal("out_of_range", (
+                f"viscous run reached the budget of {_MAX_STEPS} steps "
+                f"at t={t:.6g} of t_end={cfg.t_end:.6g}"
+            ))
         amax = umax + p.k
-        dt = min(cfg.cfl * dx / amax, dx * dx / (2.5 * eps), cfg.t_end - t)
+        dt = min(cfl_dx / amax, diffusive_dt, cfg.t_end - t)
         if not dt > 0.0:
             raise Refusal(
                 "viscous_diverged", f"step size collapsed at t={t:.6g} (max speed {amax:.6g})"
             )
-        if t == 0.0:
+        if not steps:
             # u[0] = u_b at every step, so every dt is below both caps and
             # no run takes fewer steps
             fewest = cfg.t_end * max(
-                (abs(boundary.u) + p.k) / (cfg.cfl * dx), 2.5 * eps / (dx * dx)
+                (abs(boundary.u) + p.k) / cfl_dx, _DIFFUSIVE_DIVISOR * eps / (dx * dx)
             )
             if fewest > _MAX_STEPS:
                 raise Refusal("out_of_range", (
@@ -217,6 +232,7 @@ def viscous_solve(
         first[:] = left
         last[:] = before_last
         t += dt
+        steps += 1
 
 
 # no warnings: an overflow ends in the finiteness check

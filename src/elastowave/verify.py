@@ -3,7 +3,10 @@
 Everything here recomputes properties from the raw states rather than
 trusting the solver's bookkeeping: jump conditions with the averaged
 nonconservative product, the entropy inequality, fan continuity, wave
-ordering, and a discrete weak-form audit of sampled solutions.
+ordering, and a discrete weak-form audit of sampled solutions.  The
+four structure audits give one pass/fail verdict, :func:`audit`, and
+:func:`on_curve_solution` writes down the solution for on-curve data in
+closed form, without the wave-structure solver.
 
 The nonconservative product u sigma_x is fixed across jumps by the
 arithmetic mean of u, which turns the jump conditions into
@@ -16,6 +19,7 @@ and those two left-hand sides are the residuals reported here.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
@@ -23,7 +27,7 @@ import numpy as np
 
 from .core import (ConfigError, Params, Rarefaction, Shock, State, WaveFamily, WaveStructure,
                    _check_number)
-from .curves import DEFAULT_TOL, classification_scale
+from .curves import _AUDIT_TOL, DEFAULT_TOL, classification_scale
 from .riemann import sample_many, speed_support
 
 __all__ = [
@@ -34,8 +38,10 @@ __all__ = [
     "fan_continuity_error",
     "max_rh_residual",
     "all_shocks_admissible",
+    "audit",
     "WeakFormGrid",
     "weak_residual",
+    "on_curve_solution",
 ]
 
 
@@ -140,6 +146,25 @@ def all_shocks_admissible(ws: WaveStructure, p: Params, tol: float = DEFAULT_TOL
         for w in ws.waves
         if isinstance(w, Shock)
     )
+
+
+def audit(ws: WaveStructure, p: Params) -> tuple[dict, bool]:
+    """The four structure audits and their verdict: a summary of the largest
+    jump residual, the Lax check at the audit gate, the fan continuity error
+    and the wave ordering, and whether all four pass.  The residual and the
+    fan error pass at or below the gate 1e-9, so a NaN fails."""
+    rh = max_rh_residual(ws, p)
+    lax_ok = all_shocks_admissible(ws, p, tol=_AUDIT_TOL)
+    fan_err = fan_continuity_error(ws, p)
+    ordered = waves_ordered(ws, tol=DEFAULT_TOL)
+    summary = {
+        "max_rh_residual": rh,
+        "lax_ok": lax_ok,
+        "fan_continuity_error": fan_err,
+        "waves_ordered": ordered,
+    }
+    ok = rh <= _AUDIT_TOL and lax_ok and fan_err <= _AUDIT_TOL and ordered
+    return summary, ok
 
 
 @dataclass(frozen=True)
@@ -271,3 +296,47 @@ def weak_residual(
     # the windows: (whole, whole) and the four (half, half) pairs
     res1, res2 = (np.append(q[0, 0], q[1:, 1:]).tolist() for q in (abs(r1) / mass, abs(r2) / mass))
     return _worst(res1), _worst(res2)
+
+
+def on_curve_solution(
+    family: WaveFamily,
+    boundary: State,
+    initial: State,
+    p: Params,
+    x: float,
+    t: float,
+) -> State:
+    """Closed form of the quarter-plane solution for on-curve data.
+
+    Requires the initial state to lie on the ``family`` wave curve through
+    the boundary state (equal Riemann invariant of that family).  The
+    solution is then a single wave of that family and can be written down
+    directly; this evaluator is independent of the wave-structure solver
+    and serves as a regression oracle for it.
+    """
+    if not (0.0 < x < math.inf and 0.0 < t < math.inf):
+        raise ValueError(f"point (x={x}, t={t}) outside the open quarter plane")
+    slope = family.curve_slope(p)
+    mismatch = (initial.sigma - boundary.sigma) - slope * (initial.u - boundary.u)
+    scale = classification_scale(boundary, initial, p)
+    if abs(mismatch) > DEFAULT_TOL * scale:
+        raise ValueError(
+            "initial state does not lie on the wave curve of that family "
+            f"through the boundary state (mismatch {mismatch!r})"
+        )
+    v_b = family.characteristic_speed(boundary, p)
+    v_0 = family.characteristic_speed(initial, p)
+    xi = x / t
+    if p.k * abs(initial.u - boundary.u) <= DEFAULT_TOL * scale:
+        return initial
+    if v_b < v_0:
+        # single fan between the two characteristic speeds
+        if xi < v_b:
+            return boundary
+        if xi < v_0:
+            u = xi - family.speed_offset(p)
+            return State(u=u, sigma=boundary.sigma + slope * (u - boundary.u))
+        return initial
+    # single shock; right-continuous at the shock location
+    s = 0.5 * (boundary.u + initial.u) + family.speed_offset(p)
+    return boundary if xi < s else initial

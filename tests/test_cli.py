@@ -657,6 +657,26 @@ def test_each_refusal_names_its_reason(tmp_path, name):
     assert written == (["report.json", "samples.csv"] if reason == "verification" else [])
 
 
+@pytest.mark.parametrize("grid", ["sample", "viscous"])
+def test_unallocatable_grid_exits_3(tmp_path, capsys, grid):
+    # 10^15 points need 7.1 PiB, past the user address space, so the first
+    # allocation fails at once without touching memory
+    nx = 10**15
+    if grid == "sample":
+        args = [*_PROBLEM_FLAGS, "--nx", str(nx)]
+    else:
+        config = tmp_path / "viscous.json"
+        config.write_text(json.dumps({"mode": "exact+viscous", "viscous": {
+            "epsilon": 0.01, "x_min": 0.0, "x_max": 1e300, "nx": nx, "t_end": 1.0,
+        }}))
+        args = [*_PROBLEM_FLAGS, "--config", str(config)]
+    code, out = run_cli(tmp_path, "out", args)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: a {grid} grid of nx = {nx} ") and "does not fit in memory" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("error", [KeyError, ValueError])
 def test_an_error_that_is_not_a_refusal_escapes_main(tmp_path, monkeypatch, error):
     # a bug shows its traceback instead of a tidy exit 3

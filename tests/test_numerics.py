@@ -363,6 +363,21 @@ def test_run_over_the_step_budget_is_refused_before_its_first_step(monkeypatch):
         assert info.value.reason == "out_of_range"
 
 
+def test_run_that_reaches_the_step_budget_is_refused(monkeypatch):
+    # u_0 = 10 sets the speed, which the up-front bound may not count: it
+    # asks for 15.75 steps, and the run takes 173
+    cfg = ViscousConfig(epsilon=0.01, x_min=0.0, x_max=1.0, nx=64, t_end=0.1)
+    data = (State(0.0, 0.0), State(10.0, 0.0), K1)
+    field = viscous_solve(*data, cfg)
+    monkeypatch.setattr(numerics, "_MAX_STEPS", 173)
+    at_budget = viscous_solve(*data, cfg)
+    assert np.array_equal(at_budget.u, field.u) and np.array_equal(at_budget.sigma, field.sigma)
+    monkeypatch.setattr(numerics, "_MAX_STEPS", 172)
+    with pytest.raises(Refusal, match=r"reached the budget of 172 steps at t=0\.09") as info:
+        viscous_solve(*data, cfg)
+    assert info.value.reason == "out_of_range"
+
+
 # the oracle_sweep problems, on its full-plane window and on the quarter plane
 _DIGEST_LABELS = ("3a", "4a", "5a", "6a", "7a", "8a")
 _DIGEST_WINDOWS = {"full": (-1.0, 2.2), "quarter": (0.0, 2.2)}

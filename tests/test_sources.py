@@ -171,6 +171,21 @@ def test_solver_and_oracles_import_only_the_solver(path):
     assert not outside, f"{path.name} imports {outside}, outside the solver {sorted(_SOLVER)}"
 
 
+def test_front_end_applies_no_tolerance():
+    # the audits' gate and tolerances live in verify.audit; the front end
+    # only reports its verdict
+    tree = _tree(ROOT / "src" / "elastowave" / "cli.py")
+    found = sorted(
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        for name in {alias.name, alias.asname or alias.name}
+        if name.endswith("_TOL")
+    )
+    assert not found, f"cli.py imports tolerances {found}"
+
+
 # the one function that opens a file for writing, and where it lives
 _WRITER = ("cli.py", "_write_artifact")
 

@@ -1,6 +1,9 @@
 import dataclasses
+import json
 import math
+import runpy
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from elastowave import (
     State,
     WaveFamily,
     WeakFormGrid,
+    audit,
     fan_continuity_error,
     lax_check,
     max_rh_residual,
@@ -24,7 +28,9 @@ from elastowave import (
     weak_residual,
 )
 from elastowave import verify
+from elastowave.cli import main as cli_main
 from elastowave.core import ConfigError
+from elastowave.curves import _AUDIT_TOL
 from elastowave.riemann import sample_many
 from elastowave.verify import _sigma_xi_slope
 from problems import K1, REPRESENTATIVES, golden_by_label, perturb_shock_speed, wave_curve_sigma
@@ -375,3 +381,57 @@ def test_weak_residual_fails_a_window_without_test_mass():
     with np.errstate(all="ignore"):
         momentum, stress = weak_residual(bad, K1, grid)
     assert not math.isfinite(momentum) and not math.isfinite(stress)
+
+
+# (name, u_b, sigma_b, u_0, sigma_0) at k = 1, one per case family
+GALLERY = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "case_gallery.py"))[
+    "PROBLEMS"
+]
+
+
+def _failing(summary):
+    """The fields of an audit summary that fail the gate, in summary order."""
+    return [
+        name for name, value in summary.items()
+        if not (value is True if isinstance(value, bool) else value <= _AUDIT_TOL)
+    ]
+
+
+def test_audit_summary_is_the_report_verification(tmp_path):
+    _, ub, sb, u0, s0 = GALLERY[6]  # shock + shock
+    out = tmp_path / "out"
+    argv = ["--k", "1", "--ub", repr(ub), "--sb", repr(sb), "--u0", repr(u0), "--s0", repr(s0)]
+    assert cli_main([*argv, "--out", str(out)]) == 0
+    summary, ok = audit(solve_ibvp(State(ub, sb), State(u0, s0), K1).structure, K1)
+    assert ok
+    report = json.loads((out / "report.json").read_text())
+    assert summary.keys() == report["verification"].keys()
+    assert summary == report["verification"]
+
+
+@pytest.mark.parametrize("problem", GALLERY, ids=lambda problem: problem[0])
+def test_audit_passes_every_gallery_problem(problem):
+    _, ub, sb, u0, s0 = problem
+    summary, ok = audit(solve_ibvp(State(ub, sb), State(u0, s0), K1).structure, K1)
+    assert ok and _failing(summary) == []
+
+
+def test_audit_fails_a_perturbed_shock_speed():
+    _, ub, sb, u0, s0 = GALLERY[6]  # shock + shock
+    ws = solve_ibvp(State(ub, sb), State(u0, s0), K1).structure
+    summary, ok = audit(perturb_shock_speed(ws, WaveFamily.ONE, 1e-6 * ws.wave1.speed), K1)
+    assert not ok and _failing(summary) == ["max_rh_residual"]
+
+
+def test_audit_fails_crossing_shocks():
+    # --ub 3 --u0 -3: a velocity jump beyond the ordering bound
+    summary, ok = audit(solve_ibvp(State(3.0, 0.0), State(-3.0, 0.0), K1).structure, K1)
+    assert not ok and _failing(summary) == ["waves_ordered"]
+
+
+def test_audit_fails_a_nan_residual():
+    k, ub, sb, u0, s0 = SCALED_TWO_SHOCKS
+    p = Params(k)
+    summary, ok = audit(solve_ibvp(State(ub, sb), State(u0, s0), p).structure, p)
+    assert not ok and _failing(summary) == ["max_rh_residual"]
+    assert math.isnan(summary["max_rh_residual"])
