@@ -383,10 +383,9 @@ def test_weak_residual_fails_a_window_without_test_mass():
     assert not math.isfinite(momentum) and not math.isfinite(stress)
 
 
-# (name, u_b, sigma_b, u_0, sigma_0) at k = 1, one per case family
-GALLERY = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "case_gallery.py"))[
-    "PROBLEMS"
-]
+# name -> (u_b, sigma_b, u_0, sigma_0) at k = 1, one problem per case family
+_GALLERY_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "case_gallery.py"
+GALLERY = {name: data for name, *data in runpy.run_path(str(_GALLERY_SCRIPT))["PROBLEMS"]}
 
 
 def _failing(summary):
@@ -398,7 +397,7 @@ def _failing(summary):
 
 
 def test_audit_summary_is_the_report_verification(tmp_path):
-    _, ub, sb, u0, s0 = GALLERY[6]  # shock + shock
+    ub, sb, u0, s0 = GALLERY["shock + shock"]
     out = tmp_path / "out"
     argv = ["--k", "1", "--ub", repr(ub), "--sb", repr(sb), "--u0", repr(u0), "--s0", repr(s0)]
     assert cli_main([*argv, "--out", str(out)]) == 0
@@ -409,15 +408,15 @@ def test_audit_summary_is_the_report_verification(tmp_path):
     assert summary == report["verification"]
 
 
-@pytest.mark.parametrize("problem", GALLERY, ids=lambda problem: problem[0])
-def test_audit_passes_every_gallery_problem(problem):
-    _, ub, sb, u0, s0 = problem
+@pytest.mark.parametrize("name", GALLERY)
+def test_audit_passes_every_gallery_problem(name):
+    ub, sb, u0, s0 = GALLERY[name]
     summary, ok = audit(solve_ibvp(State(ub, sb), State(u0, s0), K1).structure, K1)
     assert ok and _failing(summary) == []
 
 
 def test_audit_fails_a_perturbed_shock_speed():
-    _, ub, sb, u0, s0 = GALLERY[6]  # shock + shock
+    ub, sb, u0, s0 = GALLERY["shock + shock"]
     ws = solve_ibvp(State(ub, sb), State(u0, s0), K1).structure
     summary, ok = audit(perturb_shock_speed(ws, WaveFamily.ONE, 1e-6 * ws.wave1.speed), K1)
     assert not ok and _failing(summary) == ["max_rh_residual"]
