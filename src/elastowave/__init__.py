@@ -21,17 +21,13 @@ from .curves import (
     signed_distances,
 )
 from .riemann import fan_state, sample, sample_many, solve_riemann, speed_support
-from .boundary import (
-    CaseLabel,
-    QuarterPlaneSolution,
-    in_admissible_set,
-    solve_ibvp,
-)
+from .boundary import CaseLabel, QuarterPlaneSolution, solve_ibvp
 from .verify import (
     WeakFormGrid,
     all_shocks_admissible,
     audit,
     fan_continuity_error,
+    in_admissible_set,
     lax_check,
     max_rh_residual,
     on_curve_solution,

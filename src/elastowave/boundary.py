@@ -41,8 +41,9 @@ The boundary value is attained only in the weak sense: the trace
 ranges over the set of states reachable from the boundary state by waves
 of nonpositive speed (the attainable set of Dubois & LeFloch, 1988), so a
 candidate belongs to it when the last wave from the boundary state to it
-ends at a speed <= 0.  The test suite audits that sign test with an
-idempotence test and an independent grid scan.
+ends at a speed <= 0.  ``verify.in_admissible_set`` checks a trace
+against that set; the test suite audits it with an idempotence test and
+an independent grid scan.
 """
 
 from __future__ import annotations
@@ -51,21 +52,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import Params, Rarefaction, Shock, State, Wave, WaveStructure
-from .curves import (
-    _AUDIT_TOL,
-    DEFAULT_TOL,
-    RegionLabel,
-    SignedDistances,
-    classification_scale,
-    classify,
-)
+from .curves import DEFAULT_TOL, RegionLabel, SignedDistances, classify
 from .riemann import _left_of_waves, _structure, fan_state
 
 __all__ = [
     "CaseLabel",
     "QuarterPlaneSolution",
     "solve_ibvp",
-    "in_admissible_set",
 ]
 
 
@@ -194,23 +187,4 @@ def solve_ibvp(boundary: State, initial: State, p: Params) -> QuarterPlaneSoluti
         visible_waves=visible,
         params=p,
     )
-
-
-def in_admissible_set(boundary: State, candidate: State, p: Params) -> bool:
-    """Whether ``candidate`` is an attainable boundary value for ``boundary``.
-
-    True when no wave joins the two states or the last wave ends at a
-    speed <= 0: a shock by the exact sign of its speed, a fan when k times
-    its end speed (the k u gap of its clip state at xi = 0) is within the
-    audit gate 1e-9 of :func:`classification_scale`.  A wave of positive
-    speed excludes the candidate even when its jump is under that gate.
-    """
-    region, _ = classify(boundary, candidate, p)
-    waves = _structure(boundary, candidate, region, p).waves
-    if not waves:
-        return True
-    last = waves[-1]
-    if isinstance(last, Shock):
-        return last.speed <= 0.0
-    return p.k * last.xi_hi <= _AUDIT_TOL * classification_scale(boundary, candidate, p)
 

@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
-_AUDIT_TOL = 1e-9  # pass gate of verify.audit and of in_admissible_set
 
 
 class RegionLabel(Enum):

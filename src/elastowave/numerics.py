@@ -118,11 +118,12 @@ def viscous_solve(
     The boundary state fills x < 0 initially and is held at x_min
     (Dirichlet); the right end copies its neighbor (outflow).  Before
     every step, and on the field it returns, max|u| is compared against
-    10 (1 + max(|u_b|, |u_0|) + k): a larger or NaN value, or a step size
-    that underflows to zero, raises Refusal("viscous_diverged").  A returned
-    sigma that is not finite raises Refusal("out_of_range"), and so does a
-    run that reaches _MAX_STEPS steps before t_end, or a grid too large to
-    allocate.  A run whose fewest possible steps, t_end max((|u_b| + k) /
+    10 (max(|u_b|, |u_0|) + k), a bound that scales with the data: a larger
+    or NaN value, or a step size that underflows to zero, raises
+    Refusal("viscous_diverged").  A returned sigma that is not finite
+    raises Refusal("out_of_range"), and so does a run that reaches
+    _MAX_STEPS steps before t_end, or a grid too large to allocate.  A run
+    whose fewest possible steps, t_end max((|u_b| + k) /
     (cfl dx), 2.5 eps / dx^2), exceed _MAX_STEPS is refused before its
     first step.
 
@@ -167,7 +168,7 @@ def viscous_solve(
     two_dx = 2.0 * dx
     # the sigma_x term of the u equation and the k^2 u_x term of the sigma one
     coupling_u, coupling_sigma = 1.0 / two_dx, (p.k * p.k) / two_dx
-    bound = 10.0 * (1.0 + max(abs(boundary.u), abs(initial.u)) + p.k)
+    bound = 10.0 * (max(abs(boundary.u), abs(initial.u)) + p.k)
 
     # d[j] = w[j+1] - w[j]; central, rhs, adv and term belong to cell j+1,
     # so u's interior is [:nx-2] of them and sigma's is [nx:]

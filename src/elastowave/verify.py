@@ -4,9 +4,10 @@ Everything here recomputes properties from the raw states rather than
 trusting the solver's bookkeeping: jump conditions with the averaged
 nonconservative product, the entropy inequality, fan continuity, wave
 ordering, and a discrete weak-form audit of sampled solutions.  The
-four structure audits give one pass/fail verdict, :func:`audit`, and
-:func:`on_curve_solution` writes down the solution for on-curve data in
-closed form, without the wave-structure solver.
+four structure audits give one pass/fail verdict, :func:`audit`;
+:func:`in_admissible_set` tests a boundary trace against the attainable
+set, and :func:`on_curve_solution` writes down the solution for on-curve
+data in closed form, without the wave-structure solver.
 
 The nonconservative product u sigma_x is fixed across jumps by the
 arithmetic mean of u, which turns the jump conditions into
@@ -27,8 +28,8 @@ import numpy as np
 
 from .core import (ConfigError, Params, Rarefaction, Shock, State, WaveFamily, WaveStructure,
                    _check_number)
-from .curves import _AUDIT_TOL, DEFAULT_TOL, classification_scale
-from .riemann import sample_many, speed_support
+from .curves import DEFAULT_TOL, classification_scale
+from .riemann import sample_many, solve_riemann, speed_support
 
 __all__ = [
     "rh_residual",
@@ -39,10 +40,13 @@ __all__ = [
     "max_rh_residual",
     "all_shocks_admissible",
     "audit",
+    "in_admissible_set",
     "WeakFormGrid",
     "weak_residual",
     "on_curve_solution",
 ]
+
+_AUDIT_TOL = 1e-9  # pass gate of audit and of in_admissible_set
 
 
 def rh_residual(left: State, right: State, speed: float, p: Params) -> tuple[float, float]:
@@ -165,6 +169,24 @@ def audit(ws: WaveStructure, p: Params) -> tuple[dict, bool]:
     }
     ok = rh <= _AUDIT_TOL and lax_ok and fan_err <= _AUDIT_TOL and ordered
     return summary, ok
+
+
+def in_admissible_set(boundary: State, candidate: State, p: Params) -> bool:
+    """Whether ``candidate`` is an attainable boundary value for ``boundary``.
+
+    True when no wave joins the two states or the last wave ends at a
+    speed <= 0: a shock by the exact sign of its speed, a fan when k times
+    its end speed (the k u gap of its clip state at xi = 0) is within the
+    audit gate 1e-9 of :func:`classification_scale`.  A wave of positive
+    speed excludes the candidate even when its jump is under that gate.
+    """
+    waves = solve_riemann(boundary, candidate, p).waves
+    if not waves:
+        return True
+    last = waves[-1]
+    if isinstance(last, Shock):
+        return last.speed <= 0.0
+    return p.k * last.xi_hi <= _AUDIT_TOL * classification_scale(boundary, candidate, p)
 
 
 @dataclass(frozen=True)

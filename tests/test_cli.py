@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from elastowave import Params, State, WaveFamily, cli, sample, solve_ibvp
 from elastowave.cli import ConfigError, ProblemConfig, Refusal, load_config, main, run
-from elastowave.curves import _AUDIT_TOL
 from elastowave.numerics import ViscousConfig
+from elastowave.verify import _AUDIT_TOL
 from problems import GOLDEN_CASES, wave_curve_sigma
 
 
@@ -655,6 +655,25 @@ def test_each_refusal_names_its_reason(tmp_path, name):
     assert info.value.reason == reason
     written = sorted(f.name for f in out.iterdir()) if out.exists() else []
     assert written == (["report.json", "samples.csv"] if reason == "verification" else [])
+
+
+@pytest.mark.parametrize("m", [0, -4])
+def test_diverging_viscous_run_exits_3_at_every_scale(tmp_path, capsys, m):
+    # gallery case 8a at eps = 1e-4 under (u, sigma, k, eps, t) ->
+    # (a u, a^2 sigma, a k, a eps, t / a): its viscous field blows up at
+    # every a, and a guard that scales with the data refuses it at every a
+    a = 2.0**m
+    config = tmp_path / "viscous.json"
+    config.write_text(json.dumps({
+        "k": a, "u_b": 1.3 * a, "sigma_b": -0.2 * a * a, "u_0": 0.9 * a, "sigma_0": 1.0 * a * a,
+        "t": 0.05 / a, "x_max": 2.2, "nx": 101, "mode": "exact+viscous",
+        "viscous": {"epsilon": 1e-4 * a, "x_min": -1.0, "x_max": 2.2, "nx": 1000,
+                    "t_end": 0.05 / a},
+    }))
+    code, out = run_cli(tmp_path, "out", ["--config", str(config)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: viscous run diverged")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["sample", "viscous"])

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -312,14 +313,50 @@ def test_field_refuses_a_time_or_grid_that_is_not_a_snapshot():
 
 
 def test_diverging_run_is_refused():
-    # 8a at eps = 1e-4: max|u| is 15.1 at step 200, passes the bound 33 after
-    # step 232 and reaches 99.1 by t_end, at step 268
+    # 8a at eps = 1e-4: max|u| is 15.1 at step 200, passes the bound 23 after
+    # step 217 and reaches 99.1 by t_end, at step 268
     g = golden_by_label("8a")
     assert (g.boundary, g.initial) == (State(1.3, -0.2), State(0.9, 1.0))
     cfg = ViscousConfig(epsilon=1e-4, x_min=-1.0, x_max=2.2, nx=1000, t_end=0.05)
     with pytest.raises(Refusal, match="diverged") as info:
         viscous_solve(g.boundary, g.initial, K1, cfg)
     assert info.value.reason == "viscous_diverged"
+
+
+def _scaled(label: str, eps: float, t_end: float, nx: int, x_max: float, m: int):
+    """A gallery case's viscous run under (u, sigma, k, eps, t) ->
+    (a u, a^2 sigma, a k, a eps, t / a), a = 2^m, which maps solutions of
+    the regularized system to solutions, on the same x grid."""
+    a = 2.0**m
+    g = golden_by_label(label)
+    return (
+        State(a * g.boundary.u, a * a * g.boundary.sigma),
+        State(a * g.initial.u, a * a * g.initial.sigma),
+        Params(a * K1.k),
+        ViscousConfig(epsilon=a * eps, x_min=-1.0, x_max=x_max, nx=nx, t_end=t_end / a),
+    )
+
+
+@pytest.mark.parametrize("m", [-30, -3, 5, 40])
+def test_viscous_field_scales_bit_for_bit(m):
+    # every step is the unscaled step times a power of two, with the same dt / a
+    a = 2.0**m
+    ref = viscous_solve(*_scaled("3a", 0.02, 0.1, 200, 1.5, 0))
+    field = viscous_solve(*_scaled("3a", 0.02, 0.1, 200, 1.5, m))
+    assert field.t == ref.t / a and np.array_equal(field.x, ref.x)
+    assert np.array_equal(field.u, a * ref.u)
+    assert np.array_equal(field.sigma, a * a * ref.sigma)
+
+
+@pytest.mark.parametrize("m", [4, 0, -2, -4, -8, -20])
+def test_diverging_run_is_refused_at_every_scale(m):
+    # the max|u| guard scales with the data, so the 8a run above is refused
+    # at t = 0.0484 / a whatever a is
+    with pytest.raises(Refusal, match="diverged") as info:
+        viscous_solve(*_scaled("8a", 1e-4, 0.05, 1000, 2.2, m))
+    assert info.value.reason == "viscous_diverged"
+    t = float(re.search(r"at t=(\S+) ", str(info.value))[1])
+    assert t * 2.0**m == pytest.approx(0.0483826, rel=1e-5)
 
 
 def test_collapsed_step_is_refused():

@@ -100,7 +100,7 @@ def _small_float_literals(tree: ast.Module) -> list[ast.Constant]:
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_tolerances_are_named_constants(path):
     # a tolerance written inline is one more scale to keep in step; the
-    # exact path names its own (DEFAULT_TOL and the audit gate)
+    # package names its own (DEFAULT_TOL, and the audit gate in verify)
     found = [f"line {node.lineno}: {node.value!r}" for node in _small_float_literals(_tree(path))]
     assert not found, f"{path.name} has tolerance literals outside a module constant: {found}"
 
@@ -184,6 +184,26 @@ def test_front_end_applies_no_tolerance():
         if name.endswith("_TOL")
     )
     assert not found, f"cli.py imports tolerances {found}"
+
+
+def _names_of(tree: ast.Module, name: str) -> list[int]:
+    """Lines where ``name`` is read, bound, imported or taken as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, (ast.Import, ast.ImportFrom))
+            and any(name in (a.name, a.asname) for a in node.names))
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.stem in _SOLVER], ids=lambda p: p.stem)
+def test_solver_applies_no_audit_gate(path):
+    # the solver applies DEFAULT_TOL only; the audit gate lives in verify,
+    # beside audit and in_admissible_set, the checks that apply it
+    found = _names_of(_tree(path), "_AUDIT_TOL")
+    assert not found, f"{path.name} names the audit gate _AUDIT_TOL on lines {found}"
 
 
 # the one function that opens a file for writing, and where it lives

@@ -30,9 +30,8 @@ from elastowave import (
 from elastowave import verify
 from elastowave.cli import main as cli_main
 from elastowave.core import ConfigError
-from elastowave.curves import _AUDIT_TOL
 from elastowave.riemann import sample_many
-from elastowave.verify import _sigma_xi_slope
+from elastowave.verify import _AUDIT_TOL, _sigma_xi_slope
 from problems import K1, REPRESENTATIVES, golden_by_label, perturb_shock_speed, wave_curve_sigma
 
 finite = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
