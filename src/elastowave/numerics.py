@@ -30,8 +30,8 @@ __all__ = [
     "field_csv",
 ]
 
-# about 100x the 9,756 steps of the largest vanishing-viscosity run
-# (nx = 2000, eps = 0.02 on [-1, 2.2])
+# 100x the 9,756 steps of the largest vanishing-viscosity run (nx = 2000,
+# eps = 0.02 on [-1, 2.2]); a run that may take more is refused up front
 _MAX_STEPS = 10**6
 # the diffusive cap is dt <= dx^2 / (2.5 eps): a diffusion number
 # eps dt / dx^2 of at most 1 / 2.5 = 0.4
@@ -108,7 +108,7 @@ def _aligned(n: int, first: int = 0) -> np.ndarray:
     return raw[skip : skip + n]
 
 
-# no warnings: a zero dx ends in the dt check, an overflow or NaN in the max|u| guard
+# no warnings: a zero dx ends in the step budget, an overflow or NaN in the max|u| guard
 @np.errstate(all="ignore")
 def viscous_solve(
     boundary: State, initial: State, p: Params, cfg: ViscousConfig
@@ -118,14 +118,14 @@ def viscous_solve(
     The boundary state fills x < 0 initially and is held at x_min
     (Dirichlet); the right end copies its neighbor (outflow).  Before
     every step, and on the field it returns, max|u| is compared against
-    10 (max(|u_b|, |u_0|) + k), a bound that scales with the data: a larger
-    or NaN value, or a step size that underflows to zero, raises
-    Refusal("viscous_diverged").  A returned sigma that is not finite
-    raises Refusal("out_of_range"), and so does a run that reaches
-    _MAX_STEPS steps before t_end, or a grid too large to allocate.  A run
-    whose fewest possible steps, t_end max((|u_b| + k) /
-    (cfl dx), 2.5 eps / dx^2), exceed _MAX_STEPS is refused before its
-    first step.
+    bound = 10 (max(|u_b|, |u_0|) + k), which scales with the data: a
+    larger or NaN value raises Refusal("viscous_diverged").  So every dt
+    but the last, which t_end - t clips, is at least min(cfl dx / (bound +
+    k), dx^2 / (2.5 eps)): a run takes at most about t_end max((bound + k) /
+    (cfl dx), 2.5 eps / dx^2) steps and the last.  A finite count makes
+    both caps, and so every dt, positive.  A count over _MAX_STEPS or not
+    finite raises Refusal("out_of_range") before the first step, as does a
+    grid too large to allocate; a returned sigma not finite raises it too.
 
     The diffusive cap dt <= dx^2 / (2.5 eps) keeps the diffusion number
     d = eps dt / dx^2 at or below 0.4.  On each Riemann invariant the
@@ -153,6 +153,15 @@ def viscous_solve(
     except MemoryError:
         raise Refusal("out_of_range", f"a viscous grid of nx = {nx} cells does not fit in memory")
     dx = x[1] - x[0]
+    eps = cfg.epsilon
+    cfl_dx = cfg.cfl * dx
+    bound = 10.0 * (max(abs(boundary.u), abs(initial.u)) + p.k)
+    most = cfg.t_end * max((bound + p.k) / cfl_dx, _DIFFUSIVE_DIVISOR * eps / (dx * dx))
+    if not most <= _MAX_STEPS:  # an inf or NaN count fails this too
+        raise Refusal("out_of_range", (
+            f"viscous run may take up to {most:.3g} steps, "
+            f"over the budget of {_MAX_STEPS} steps"
+        ))
     w = _aligned(2 * nx, first=1)
     u, sigma = w[:nx], w[nx:]
     u[:] = np.where(x < 0.0, boundary.u, initial.u)
@@ -161,14 +170,11 @@ def viscous_solve(
     first, last, before_last = w[::nx], w[nx - 1 :: nx], w[nx - 2 :: nx]
     first[:] = left
 
-    eps = cfg.epsilon
     diffusion = eps / (dx * dx)
-    cfl_dx = cfg.cfl * dx
     diffusive_dt = dx * dx / (_DIFFUSIVE_DIVISOR * eps)
     two_dx = 2.0 * dx
     # the sigma_x term of the u equation and the k^2 u_x term of the sigma one
     coupling_u, coupling_sigma = 1.0 / two_dx, (p.k * p.k) / two_dx
-    bound = 10.0 * (max(abs(boundary.u), abs(initial.u)) + p.k)
 
     # d[j] = w[j+1] - w[j]; central, rhs, adv and term belong to cell j+1,
     # so u's interior is [:nx-2] of them and sigma's is [nx:]
@@ -181,7 +187,6 @@ def viscous_solve(
     central_u, central_sigma = central[: nx - 2], central[nx:]
     term_u, term_sigma = term[: nx - 2], term[nx:]
     t = 0.0
-    steps = 0
     while True:
         umax = float(np.abs(u, out=abs_u).max())
         if not umax <= bound:  # a NaN fails this too
@@ -193,28 +198,7 @@ def viscous_solve(
             if not np.isfinite(sigma).all():
                 raise Refusal("out_of_range", f"viscous sigma is not finite at t={t:.6g}")
             return ViscousField(x=x, u=u, sigma=sigma, t=cfg.t_end)
-        if steps == _MAX_STEPS:
-            raise Refusal("out_of_range", (
-                f"viscous run reached the budget of {_MAX_STEPS} steps "
-                f"at t={t:.6g} of t_end={cfg.t_end:.6g}"
-            ))
-        amax = umax + p.k
-        dt = min(cfl_dx / amax, diffusive_dt, cfg.t_end - t)
-        if not dt > 0.0:
-            raise Refusal(
-                "viscous_diverged", f"step size collapsed at t={t:.6g} (max speed {amax:.6g})"
-            )
-        if not steps:
-            # u[0] = u_b at every step, so every dt is below both caps and
-            # no run takes fewer steps
-            fewest = cfg.t_end * max(
-                (abs(boundary.u) + p.k) / cfl_dx, _DIFFUSIVE_DIVISOR * eps / (dx * dx)
-            )
-            if fewest > _MAX_STEPS:
-                raise Refusal("out_of_range", (
-                    f"viscous run needs at least {fewest:.3g} steps, "
-                    f"over the budget of {_MAX_STEPS} steps"
-                ))
+        dt = min(cfl_dx / (umax + p.k), diffusive_dt, cfg.t_end - t)
         np.subtract(w1, w0, out=d)
         d[nx - 1] = 0.0
         np.add(d1, d0, out=central)
@@ -233,7 +217,6 @@ def viscous_solve(
         first[:] = left
         last[:] = before_last
         t += dt
-        steps += 1
 
 
 # no warnings: an overflow ends in the finiteness check
@@ -258,15 +241,20 @@ def l1_distance(field: ViscousField, exact: QuarterPlaneSolution) -> float:
 def front_position(field: ViscousField, level: float) -> float:
     """x where the u profile crosses ``level`` (linear interpolation).
 
-    Intended for single-front fields; raises when no crossing exists.
+    Intended for single-front fields; raises when no crossing exists.  The
+    crossing is found by comparisons, which cannot under- or overflow.
     """
-    d = field.u - level
-    changes = np.flatnonzero((d[:-1] * d[1:] <= 0.0) & (d[:-1] != d[1:]))
+    u, level = field.u, float(level)
+    lo, hi = np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:])
+    changes = np.flatnonzero((lo <= level) & (level <= hi) & (lo < hi))
     if changes.size == 0:
         raise ValueError(f"profile never crosses level {level}")
     i = changes[0]
-    frac = d[i] / (d[i] - d[i + 1])
-    return float(field.x[i] + frac * (field.x[i + 1] - field.x[i]))
+    u0, u1, x0, x1 = u[i].item(), u[i + 1].item(), field.x[i].item(), field.x[i + 1].item()
+    d0, d1 = u0 - level, u1 - level
+    if not math.isfinite(d0 - d1):  # near the float64 limit: halves cannot overflow
+        d0, d1 = u0 / 2 - level / 2, u1 / 2 - level / 2
+    return min(max(x0 + d0 / (d0 - d1) * (x1 - x0), x0), x1)
 
 
 def field_csv(field: ViscousField) -> str:

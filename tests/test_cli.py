@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,13 +10,14 @@ import stat
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastowave import Params, State, WaveFamily, cli, sample, solve_ibvp
+from elastowave import Params, State, WaveFamily, cli, numerics, sample, solve_ibvp
 from elastowave.cli import ConfigError, ProblemConfig, Refusal, load_config, main, run
 from elastowave.numerics import ViscousConfig
 from elastowave.verify import _AUDIT_TOL
@@ -564,14 +567,31 @@ def test_default_viscous_grid_is_capped(tmp_path):
 
 
 def test_viscous_run_over_the_step_budget_exits_3(tmp_path, capsys):
-    # 16 cells at k = 1e6 need at least t k / (cfl dx) = 1.9e7 steps
+    # 16 cells at k = 1e6 may take up to t (bound + k) / (cfl dx) = 2.06e8
+    # steps, with the max|u| bound 10 (max(|u_b|, |u_0|) + k) = 1e7
     code, out = run_cli(tmp_path, "budget", [
         "--k", "1e6", "--ub", "0", "--sb", "0", "--u0", "0", "--s0", "0", "--t", "0.5",
         "--xmax", "1", "--nx", "3", "--mode", "exact+viscous",
     ])
     assert code == 3
     assert capsys.readouterr().err.startswith(
-        "error: viscous run needs at least 1.88e+07 steps, over the budget of 1000000 steps"
+        "error: viscous run may take up to 2.06e+08 steps, over the budget of 1000000 steps"
+    )
+    assert not out.exists()
+
+
+def test_viscous_run_driven_by_its_initial_speed_is_refused_up_front(tmp_path, capsys):
+    # |u_0| = 7.3e134 sets the speed; the bound that the max|u| guard puts on
+    # the step count refuses the run before its first step, with nothing written
+    code, out = run_cli(tmp_path, "u0", [
+        "--k=1.1770306126276026e-191", "--ub=-3.1256518326889285e-238",
+        "--sb=-3.424846647446599e-157", "--u0=-7.256661101948701e+134",
+        "--s0=-3.388129031159332e-281", "--t=1.9849768200038607e+222",
+        "--xmax=1.14452742332065e+134", "--nx=101", "--mode=exact+viscous",
+    ])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "error: viscous run may take up to 1.27e+227 steps, over the budget of 1000000 steps"
     )
     assert not out.exists()
 
@@ -587,7 +607,7 @@ def test_refused_rerun_leaves_the_previous_artifacts_as_they_were(tmp_path, caps
         "--mode", "exact+viscous",
     ])
     assert code == 3
-    assert capsys.readouterr().err.startswith("error: viscous run needs at least")
+    assert capsys.readouterr().err.startswith("error: viscous run may take up to")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -600,7 +620,7 @@ _REFUSED = {
                        "out_of_range"),
     "shock flank underflow": (dict(k=1.0, u_b=0.0, sigma_b=0.0, u_0=0.0, sigma_0=5e-324),
                               "out_of_range"),
-    # 16 cells at k = 1e6 need at least 1.9e7 steps
+    # 16 cells at k = 1e6 may take up to 2.06e8 steps
     "viscous step budget": (dict(k=1e6, u_b=0.0, sigma_b=0.0, u_0=0.0, sigma_0=0.0, t=0.5,
                                  x_max=1.0, nx=3, mode="exact+viscous"), "out_of_range"),
     # the L1 distance of the viscous field to the exact solution overflows
@@ -623,13 +643,13 @@ _REFUSED = {
         # k^2 overflows in the viscous step before its max|u| guard refuses
         (["--k", "1e150", "--ub", "1e152", "--sb", "0", "--u0", "0", "--s0", "0", "--t", "1e-150",
           "--xmax", "1", "--nx", "4", "--mode", "exact+viscous"], "error: viscous run diverged"),
-        # the fewest steps, t k / (cfl dx), overflow to inf before any step runs
+        # the most steps, t (bound + k) / (cfl dx), overflow to inf before any step runs
         (["--k", "1e300", "--ub", "0", "--sb", "0", "--u0", "0", "--s0", "0", "--t", "1e300",
           "--xmax", "1", "--nx", "4", "--mode", "exact+viscous"],
-         "error: viscous run needs at least inf steps, over the budget of 1000000 steps"),
-        # the viscous dx^2 underflows to zero before the dt check refuses
+         "error: viscous run may take up to inf steps, over the budget of 1000000 steps"),
+        # the viscous dx^2 underflows to zero, so the diffusive count is inf
         ([*_PROBLEM_FLAGS, "--xmax", "1e-320", "--nx", "2", "--mode", "exact+viscous"],
-         "error: step size collapsed"),
+         "error: viscous run may take up to inf steps, over the budget of 1000000 steps"),
         # the L1 distance overflows in its trapezoid sums
         (["--k=0.28679586886126796", "--ub=-1.832680576555047e+154", "--sb=0",
           "--u0=0.0027344255151529346", "--s0=-0", "--t=0.012817958613781393",
@@ -713,13 +733,12 @@ def test_an_error_that_is_not_a_refusal_escapes_main(tmp_path, monkeypatch, erro
 _MAGNITUDE = st.one_of(st.just(0.0), st.floats(min_value=5e-324, max_value=1e300))
 _NUMBER = st.builds(lambda m, negative: -m if negative else m, _MAGNITUDE, st.booleans())
 _POSITIVE_MOSTLY = st.one_of(_MAGNITUDE, _NUMBER)
+# k, u_b, sigma_b, u_0, sigma_0, t and x_max
+_WILD = st.tuples(_POSITIVE_MOSTLY, _NUMBER, _NUMBER, _NUMBER, _NUMBER, _POSITIVE_MOSTLY,
+                  _POSITIVE_MOSTLY)
 
 
-@given(
-    st.tuples(_POSITIVE_MOSTLY, _NUMBER, _NUMBER, _NUMBER, _NUMBER, _POSITIVE_MOSTLY,
-              _POSITIVE_MOSTLY),
-    st.sampled_from((2, 3, 101)),
-)
+@given(_WILD, st.sampled_from((2, 3, 101)))
 @settings(max_examples=500, deadline=None)
 def test_every_input_ends_verified_or_refused(values, nx):
     # exit 0 with every audit passing, 2 for a bad config or 3 for a named
@@ -736,6 +755,33 @@ def test_every_input_ends_verified_or_refused(values, nx):
             v = json.loads((out / "report.json").read_text())["verification"]
             assert v["max_rh_residual"] <= _AUDIT_TOL and v["fan_continuity_error"] <= _AUDIT_TOL
             assert v["lax_ok"] and v["waves_ordered"]
+
+
+# data at desk scale, where most draws get past the config and many run
+_MODERATE_NUMBER, _MODERATE_POSITIVE = st.floats(-10.0, 10.0), st.floats(0.01, 10.0)
+_MODERATE = st.tuples(_MODERATE_POSITIVE, _MODERATE_NUMBER, _MODERATE_NUMBER, _MODERATE_NUMBER,
+                      _MODERATE_NUMBER, _MODERATE_POSITIVE, _MODERATE_POSITIVE)
+
+
+@given(st.one_of(_WILD, _MODERATE), st.sampled_from((2, 3, 101)))
+@settings(max_examples=300, deadline=None)
+def test_every_viscous_input_ends_verified_or_refused(values, nx):
+    # as above, with the viscous oracle; a budget of 2000 steps, checked
+    # before the first step, bounds the cost of every draw
+    flags = ("k", "ub", "sb", "u0", "s0", "t", "xmax")
+    argv = [f"--{flag}={value!r}" for flag, value in zip(flags, values)]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            mock.patch.object(numerics, "_MAX_STEPS", 2000), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("error")
+        out = Path(tmp) / "out"
+        code = main([*argv, f"--nx={nx}", "--mode=exact+viscous", f"--out={out}"])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert math.isfinite(json.loads((out / "report.json").read_text())["viscous"]
+                                 ["l1_distance"])
+        elif code == 3 and not err.getvalue().startswith("error: verification failure"):
+            assert not out.exists()
 
 
 def test_unknown_config_field_rejected(tmp_path):

@@ -23,7 +23,7 @@ from elastowave import (
 )
 from elastowave import numerics
 from elastowave.core import ConfigError, Refusal
-from problems import K1, golden_by_label
+from problems import K1, REPRESENTATIVES, golden_by_label
 
 SMALL = ViscousConfig(epsilon=0.01, x_min=-1.0, x_max=1.5, nx=400, t_end=0.3)
 
@@ -264,6 +264,34 @@ def test_front_position_skips_a_flat_run_on_the_level():
     assert front_position(field, 0.5) == x[1]
 
 
+@pytest.mark.parametrize("m", [-1000, -600, 0, 600, 1000])
+def test_front_position_scales_bit_for_bit(m):
+    # u d[i] d[i+1] products would under- (m = -1000) or overflow (m = 1000)
+    x = np.linspace(-1.0, 1.0, 201)
+    u = np.tanh((x - 0.1234) / 0.05)
+    ref = front_position(ViscousField(x=x, u=u, sigma=np.zeros_like(x), t=1.0), 0.3)
+    a = 2.0**m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = ViscousField(x=x, u=a * u, sigma=np.zeros_like(x), t=1.0)
+        assert front_position(field, a * 0.3) == ref
+
+
+def test_front_position_stays_on_its_interval_at_the_float_limits():
+    x = np.arange(3.0)
+
+    def front(u):
+        field = ViscousField(x=x[: len(u)], u=np.array(u), sigma=np.zeros(len(u)), t=1.0)
+        return front_position(field, 0.0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="never crosses"):
+            front([3e-200, 2e-200, 1e-200])
+        assert front([3e-200, 2e-200, -1e-200]) == pytest.approx(5 / 3, rel=1e-15)
+        assert front([1.5e308, -1.5e308]) == 0.5
+
+
 def test_field_csv_rejects_columns_of_unequal_length():
     with pytest.raises(ValueError, match="length"):
         field_csv(ViscousField(x=np.arange(3.0), u=np.zeros(2), sigma=np.zeros(3), t=1.0))
@@ -360,12 +388,13 @@ def test_diverging_run_is_refused_at_every_scale(m):
 
 
 def test_collapsed_step_is_refused():
-    # on a window of 1e-300, dx^2 underflows to zero and so does the step
+    # on a window of 1e-300, dx^2 underflows to zero, and with it the
+    # diffusive cap: the run may take inf steps and is refused before any
     g = golden_by_label("3a")
     cfg = ViscousConfig(epsilon=0.01, x_min=0.0, x_max=1e-300, nx=16, t_end=0.5)
-    with pytest.raises(Refusal, match="step size collapsed") as info, np.errstate(divide="ignore"):
+    with pytest.raises(Refusal, match="may take up to inf steps") as info:
         viscous_solve(g.boundary, g.initial, K1, cfg)
-    assert info.value.reason == "viscous_diverged"
+    assert info.value.reason == "out_of_range"
 
 
 def test_overflowed_sigma_is_refused():
@@ -387,32 +416,127 @@ class _NumpyWithoutSteps:
         return getattr(np, name)
 
 
+class _NumpyCountingSteps:
+    """numpy, except that np.subtract counts the viscous steps: the first
+    call of every step writes the 2 nx - 1 differences d."""
+
+    def __init__(self, nx):
+        self.nx, self.steps = nx, 0
+
+    def __getattr__(self, name):
+        if name != "subtract":
+            return getattr(np, name)
+
+        def subtract(*args, out):
+            self.steps += out.size == 2 * self.nx - 1
+            return np.subtract(*args, out=out)
+
+        return subtract
+
+
+def _most_steps(boundary, initial, p, cfg):
+    """The bound on a run's step count that the max|u| guard gives:
+    t_end max((bound + k) / (cfl dx), 2.5 eps / dx^2)."""
+    x = np.linspace(cfg.x_min, cfg.x_max, cfg.nx)
+    dx = x[1] - x[0]
+    bound = 10.0 * (max(abs(boundary.u), abs(initial.u)) + p.k)
+    return cfg.t_end * max((bound + p.k) / (cfg.cfl * dx), 2.5 * cfg.epsilon / (dx * dx))
+
+
+# u_0 = 10 sets the speed: the guard bounds max|u| by 110, so the run may
+# take up to 1748.25 steps, and it takes 173
+_U0_DRIVEN = (
+    State(0.0, 0.0), State(10.0, 0.0), K1,
+    ViscousConfig(epsilon=0.01, x_min=0.0, x_max=1.0, nx=64, t_end=0.1),
+)
+
+
+@pytest.mark.parametrize("label", sorted(REPRESENTATIVES))
+def test_step_count_stays_within_its_bound(monkeypatch, label):
+    # the criterion-8 runs, and the run whose speed comes from u_0
+    g = REPRESENTATIVES[label]
+    runs = [(g.boundary, g.initial, K1, ViscousConfig(
+        epsilon=eps, x_min=-1.0, x_max=2.2, nx=2000, t_end=0.5,
+    )) for eps in (0.02, 0.01, 0.005, 0.0025)]
+    if label in ("3a", "4a"):  # the first front run
+        runs.append((g.boundary, g.initial, K1, ViscousConfig(
+            epsilon=0.0025, x_min=-1.0, x_max=2.2, nx=2000, t_end=0.25,
+        )))
+    runs.append(_U0_DRIVEN)
+    for run in runs:
+        counting = _NumpyCountingSteps(run[3].nx)
+        monkeypatch.setattr(numerics, "np", counting)
+        viscous_solve(*run)
+        assert 0 < counting.steps <= math.ceil(_most_steps(*run)) + 1
+
+
 def test_run_over_the_step_budget_is_refused_before_its_first_step(monkeypatch):
     cfg = ViscousConfig(epsilon=0.005, x_min=0.0, x_max=1.0, nx=16, t_end=0.5)
+    monkeypatch.setattr(numerics, "_MAX_STEPS", 1748)
     monkeypatch.setattr(numerics, "np", _NumpyWithoutSteps())
-    # the advective cap alone asks for t_end (|u_b| + k) / (cfl dx) steps: at
-    # k = 1e42, and at k = 1 with |u_b| = 1e40, since the boundary cell holds
-    # u_b at every step
-    for u_b, k, fewest in ((0.0, 1e42, r"1\.87e\+43"), (-1e40, 1.0, r"1\.87e\+41")):
-        budget = rf"needs at least {fewest} steps, over the budget of 1000000 steps"
+    # t_end (bound + k) / (cfl dx), bound = 10 (max(|u_b|, |u_0|) + k): at
+    # k = 1e42, at k = 1 with |u_b| = 1e40, and at u_0 = 10 under a budget
+    # of 1748 steps; on a window of 1e-300, dx^2 underflows and the
+    # diffusive count 2.5 t_end eps / dx^2 is inf
+    runs = (
+        (State(0.0, 0.0), State(0.0, 0.0), Params(1e42), cfg, r"2\.06e\+44"),
+        (State(-1e40, 0.0), State(0.0, 0.0), K1, cfg, r"1\.87e\+42"),
+        (*_U0_DRIVEN, r"1\.75e\+03"),
+        (State(1.6, 0.1), State(1.0, -0.5), K1,
+         ViscousConfig(epsilon=0.01, x_min=0.0, x_max=1e-300, nx=16, t_end=0.5), "inf"),
+    )
+    for *run, most in runs:
+        budget = rf"may take up to {most} steps, over the budget of 1748 steps"
         with pytest.raises(Refusal, match=budget) as info:
-            viscous_solve(State(u_b, 0.0), State(0.0, 0.0), Params(k), cfg)
+            viscous_solve(*run)
         assert info.value.reason == "out_of_range"
 
 
 def test_run_that_reaches_the_step_budget_is_refused(monkeypatch):
-    # u_0 = 10 sets the speed, which the up-front bound may not count: it
-    # asks for 15.75 steps, and the run takes 173
-    cfg = ViscousConfig(epsilon=0.01, x_min=0.0, x_max=1.0, nx=64, t_end=0.1)
-    data = (State(0.0, 0.0), State(10.0, 0.0), K1)
-    field = viscous_solve(*data, cfg)
-    monkeypatch.setattr(numerics, "_MAX_STEPS", 173)
-    at_budget = viscous_solve(*data, cfg)
+    # the edge of the up-front check: a budget of ceil(most) = 1749 steps
+    # runs the u_0-driven data with the unpatched bytes, and floor(most) =
+    # 1748 refuses them before any step
+    most = _most_steps(*_U0_DRIVEN)
+    assert (math.floor(most), math.ceil(most)) == (1748, 1749)
+    field = viscous_solve(*_U0_DRIVEN)
+    monkeypatch.setattr(numerics, "_MAX_STEPS", 1749)
+    at_budget = viscous_solve(*_U0_DRIVEN)
     assert np.array_equal(at_budget.u, field.u) and np.array_equal(at_budget.sigma, field.sigma)
-    monkeypatch.setattr(numerics, "_MAX_STEPS", 172)
-    with pytest.raises(Refusal, match=r"reached the budget of 172 steps at t=0\.09") as info:
-        viscous_solve(*data, cfg)
+    monkeypatch.setattr(numerics, "_MAX_STEPS", 1748)
+    monkeypatch.setattr(numerics, "np", _NumpyWithoutSteps())
+    with pytest.raises(Refusal, match=r"may take up to 1\.75e\+03 steps, over the budget of 1748 ") \
+            as info:
+        viscous_solve(*_U0_DRIVEN)
     assert info.value.reason == "out_of_range"
+
+
+@pytest.mark.parametrize("m", [-20, 0, 4])
+def test_budget_refusal_is_the_same_at_every_scale(monkeypatch, m):
+    # (u, sigma, k, eps, t) -> (a u, a^2 sigma, a k, a eps, t / a) scales the
+    # guard's bound by a and each step by 1 / a, so the count stays
+    a = 2.0**m
+    monkeypatch.setattr(numerics, "_MAX_STEPS", 1748)
+    messages = []
+    for boundary, initial, p, cfg in (
+        _U0_DRIVEN,
+        (State(0.0, 0.0), State(0.0, 0.0), Params(1e42),
+         ViscousConfig(epsilon=0.005, x_min=0.0, x_max=1.0, nx=16, t_end=0.5)),
+    ):
+        scaled = (
+            State(a * boundary.u, a * a * boundary.sigma),
+            State(a * initial.u, a * a * initial.sigma),
+            Params(a * p.k),
+            ViscousConfig(epsilon=a * cfg.epsilon, x_min=cfg.x_min, x_max=cfg.x_max,
+                          nx=cfg.nx, t_end=cfg.t_end / a),
+        )
+        with pytest.raises(Refusal) as info:
+            viscous_solve(*scaled)
+        assert info.value.reason == "out_of_range"
+        messages.append(str(info.value))
+    assert messages == [
+        "viscous run may take up to 1.75e+03 steps, over the budget of 1748 steps",
+        "viscous run may take up to 2.06e+44 steps, over the budget of 1748 steps",
+    ]
 
 
 # the oracle_sweep problems, on its full-plane window and on the quarter plane

@@ -34,6 +34,18 @@ def test_viscosity_sweep_runs(tmp_path):
     assert sum(line.startswith("eps ") for line in done.stdout.splitlines()) == 4, done.stdout
 
 
+def test_viscosity_sweep_reports_each_refused_run(tmp_path):
+    # t = 1000 puts every run over the step budget, so each is refused before
+    # its first step and the sweep exits 3 without a traceback
+    done = _run_script("viscosity_sweep.py", "--tend", "1000", cwd=tmp_path)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == ""
+    lines = done.stdout.splitlines()
+    assert sum(" refused (out_of_range): viscous run may take up to " in line
+               for line in lines if line.startswith("eps ")) == 4, done.stdout
+    assert lines[-1].startswith("front speed refused (out_of_range): "), done.stdout
+
+
 def test_bench_record_writes_both_sides(tmp_path):
     # this checkout stands in for the parent, so both sides run the same code
     out = tmp_path / "bench.json"
