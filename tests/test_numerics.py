@@ -451,18 +451,20 @@ _U0_DRIVEN = (
 )
 
 
-@pytest.mark.parametrize("label", sorted(REPRESENTATIVES))
+@pytest.mark.parametrize("label", [*sorted(REPRESENTATIVES), "u0-driven"])
 def test_step_count_stays_within_its_bound(monkeypatch, label):
-    # the criterion-8 runs, and the run whose speed comes from u_0
-    g = REPRESENTATIVES[label]
-    runs = [(g.boundary, g.initial, K1, ViscousConfig(
-        epsilon=eps, x_min=-1.0, x_max=2.2, nx=2000, t_end=0.5,
-    )) for eps in (0.02, 0.01, 0.005, 0.0025)]
-    if label in ("3a", "4a"):  # the first front run
-        runs.append((g.boundary, g.initial, K1, ViscousConfig(
-            epsilon=0.0025, x_min=-1.0, x_max=2.2, nx=2000, t_end=0.25,
-        )))
-    runs.append(_U0_DRIVEN)
+    # the criterion-8 runs of each representative, and the run whose speed
+    # comes from u_0
+    runs = [_U0_DRIVEN]
+    if label in REPRESENTATIVES:
+        g = REPRESENTATIVES[label]
+        runs = [(g.boundary, g.initial, K1, ViscousConfig(
+            epsilon=eps, x_min=-1.0, x_max=2.2, nx=2000, t_end=0.5,
+        )) for eps in (0.02, 0.01, 0.005, 0.0025)]
+        if label in ("3a", "4a"):  # the first front run
+            runs.append((g.boundary, g.initial, K1, ViscousConfig(
+                epsilon=0.0025, x_min=-1.0, x_max=2.2, nx=2000, t_end=0.25,
+            )))
     for run in runs:
         counting = _NumpyCountingSteps(run[3].nx)
         monkeypatch.setattr(numerics, "np", counting)
