@@ -30,7 +30,6 @@ from .verify import (
     in_admissible_set,
     lax_check,
     max_rh_residual,
-    on_curve_solution,
     rh_residual,
     rh_scale,
     waves_ordered,

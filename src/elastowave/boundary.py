@@ -93,7 +93,7 @@ class CaseLabel(Enum):
     C8C_II = "8c-ii"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuarterPlaneSolution:
     """Solution of the quarter-plane problem.
 

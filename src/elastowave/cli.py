@@ -66,7 +66,7 @@ _FIELDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProblemConfig:
     """A quarter-plane problem and its output directory, checked on
     construction: a bad value raises ConfigError naming its field."""

@@ -100,7 +100,7 @@ def _check_number(name: str, value: object, min_int: int | None = None) -> int |
     return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Params:
     """Model parameters.  k is the elastic wave speed and must be positive."""
 
@@ -112,7 +112,7 @@ class Params:
             raise ValueError(f"k must be positive, got {self.k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class State:
     """A point (u, sigma) in the state plane: velocity and stress."""
 
@@ -135,9 +135,9 @@ class WaveFamily(Enum):
     ONE = 1
     TWO = 2
 
-    @property
-    def sign(self) -> float:
-        return -1.0 if self is WaveFamily.ONE else 1.0
+    def __init__(self, value: int) -> None:
+        # read on every speed, offset and slope: a member attribute, set once
+        self.sign = -1.0 if value == 1 else 1.0
 
     def speed_offset(self, p: Params) -> float:
         """Offset added to u (or to a mean of u) in speed formulas."""
@@ -151,7 +151,7 @@ class WaveFamily(Enum):
         return s.u + self.sign * p.k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Shock:
     """An admissible discontinuity of one family.
 
@@ -172,7 +172,7 @@ class Shock:
             raise Refusal("out_of_range", "shock flanks must differ; zero-strength waves are absent")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rarefaction:
     """A centered fan of one family over xi = x/t in [xi_lo, xi_hi]."""
 
@@ -192,7 +192,7 @@ class Rarefaction:
 Wave = Shock | Rarefaction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WaveStructure:
     """Self-similar two-wave solution: left / wave1 / middle / wave2 / right.
 

@@ -53,7 +53,7 @@ class RegionLabel(Enum):
     GAMMA4 = "Gamma4"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedDistances:
     """Invariant mismatches of a query state relative to a base state.
 

@@ -38,13 +38,14 @@ _MAX_STEPS = 10**6
 _DIFFUSIVE_DIVISOR = 2.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViscousConfig:
     """Run parameters for the viscous solver.
 
     Full-plane runs put the data jump at the interior point x = 0
     (x_min < 0 < x_max); quarter-plane runs use x_min = 0 with the
-    boundary state held there.  The time step is
+    boundary state held there; either window has a finite width x_max -
+    x_min.  The time step is
     min(cfl dx / max|speed|, dx^2 / (2.5 eps)) each step; see
     viscous_solve for the diffusive cap.  A bad value raises ConfigError,
     a ValueError naming the field.
@@ -66,19 +67,24 @@ class ViscousConfig:
                 raise ConfigError(name, f"must be positive, got {getattr(self, name)}")
         if not 0.0 < self.cfl < 1.0:
             raise ConfigError("cfl", f"must lie in (0, 1), got {self.cfl}")
-        if not (self.x_min < 0.0 < self.x_max or self.x_min == 0.0 < self.x_max):
-            raise ConfigError(
-                "window", "must have x_min < 0 < x_max (full plane) or x_min = 0 (quarter plane)"
-            )
+        if not (
+            (self.x_min < 0.0 < self.x_max or self.x_min == 0.0 < self.x_max)
+            and math.isfinite(self.x_max - self.x_min)
+        ):
+            raise ConfigError("window", (
+                "must have x_min < 0 < x_max (full plane) or x_min = 0 (quarter plane), "
+                "and a finite width x_max - x_min"
+            ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViscousField:
     """Snapshot of a solution at time t on a uniform grid.
 
     x, u and sigma must be 1-D arrays of one length (zero rows allowed),
-    else ValueError; x finite and strictly increasing and t finite and > 0,
-    else Refusal("out_of_range"), as for a sample grid that collapses.
+    else ValueError; x finite and strictly increasing, u and sigma finite
+    and t finite and > 0, else Refusal("out_of_range"), as for a sample
+    grid that collapses.
     """
 
     x: np.ndarray
@@ -98,6 +104,9 @@ class ViscousField:
             math.isfinite(x[0]) and math.isfinite(x[-1]) and (x[1:] > x[:-1]).all()
         ):
             raise Refusal("out_of_range", "x must be finite and strictly increasing")
+        for name in ("u", "sigma"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise Refusal("out_of_range", f"{name} is not finite at t={self.t:.6g}")
 
 
 def _aligned(n: int, first: int = 0) -> np.ndarray:
@@ -125,7 +134,8 @@ def viscous_solve(
     (cfl dx), 2.5 eps / dx^2) steps and the last.  A finite count makes
     both caps, and so every dt, positive.  A count over _MAX_STEPS or not
     finite raises Refusal("out_of_range") before the first step, as does a
-    grid too large to allocate; a returned sigma not finite raises it too.
+    grid too large to allocate; a sigma not finite at t_end raises it too,
+    in the ViscousField that holds the run.
 
     The diffusive cap dt <= dx^2 / (2.5 eps) keeps the diffusion number
     d = eps dt / dx^2 at or below 0.4.  On each Riemann invariant the
@@ -195,8 +205,6 @@ def viscous_solve(
                 "the step rule needs a smaller cfl for this data"
             ))
         if t >= cfg.t_end:
-            if not np.isfinite(sigma).all():
-                raise Refusal("out_of_range", f"viscous sigma is not finite at t={t:.6g}")
             return ViscousField(x=x, u=u, sigma=sigma, t=cfg.t_end)
         dt = min(cfl_dx / (umax + p.k), diffusive_dt, cfg.t_end - t)
         np.subtract(w1, w0, out=d)
@@ -242,7 +250,8 @@ def front_position(field: ViscousField, level: float) -> float:
     """x where the u profile crosses ``level`` (linear interpolation).
 
     Intended for single-front fields; raises when no crossing exists.  The
-    crossing is found by comparisons, which cannot under- or overflow.
+    crossing is found by comparisons, which cannot under- or overflow, and
+    interpolated on halves of x where the cell width x1 - x0 overflows.
     """
     u, level = field.u, float(level)
     lo, hi = np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:])
@@ -254,7 +263,11 @@ def front_position(field: ViscousField, level: float) -> float:
     d0, d1 = u0 - level, u1 - level
     if not math.isfinite(d0 - d1):  # near the float64 limit: halves cannot overflow
         d0, d1 = u0 / 2 - level / 2, u1 / 2 - level / 2
-    return min(max(x0 + d0 / (d0 - d1) * (x1 - x0), x0), x1)
+    if math.isfinite(x1 - x0):
+        root = x0 + d0 / (d0 - d1) * (x1 - x0)
+    else:  # the same on halves, which cannot overflow; doubling back is exact
+        root = 2.0 * (x0 / 2 + d0 / (d0 - d1) * (x1 / 2 - x0 / 2))
+    return min(max(root, x0), x1)
 
 
 def field_csv(field: ViscousField) -> str:

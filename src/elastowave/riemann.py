@@ -147,8 +147,10 @@ def sample_many(
     """
     xi = np.asarray(xi, dtype=float)
     first = _left_of_waves(ws)
-    u = np.full(xi.shape, first.u)
-    s = np.full(xi.shape, first.sigma)
+    u = np.empty(xi.shape)
+    s = np.empty(xi.shape)
+    u.fill(first.u)
+    s.fill(first.sigma)
 
     for wave, right in ((ws.wave1, ws.middle), (ws.wave2, ws.right)):
         if wave is None:

@@ -4,10 +4,9 @@ Everything here recomputes properties from the raw states rather than
 trusting the solver's bookkeeping: jump conditions with the averaged
 nonconservative product, the entropy inequality, fan continuity, wave
 ordering, and a discrete weak-form audit of sampled solutions.  The
-four structure audits give one pass/fail verdict, :func:`audit`;
+four structure audits give one pass/fail verdict, :func:`audit`, and
 :func:`in_admissible_set` tests a boundary trace against the attainable
-set, and :func:`on_curve_solution` writes down the solution for on-curve
-data in closed form, without the wave-structure solver.
+set.
 
 The nonconservative product u sigma_x is fixed across jumps by the
 arithmetic mean of u, which turns the jump conditions into
@@ -20,7 +19,6 @@ and those two left-hand sides are the residuals reported here.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
@@ -43,7 +41,6 @@ __all__ = [
     "in_admissible_set",
     "WeakFormGrid",
     "weak_residual",
-    "on_curve_solution",
 ]
 
 _AUDIT_TOL = 1e-9  # pass gate of audit and of in_admissible_set
@@ -189,7 +186,7 @@ def in_admissible_set(boundary: State, candidate: State, p: Params) -> bool:
     return p.k * last.xi_hi <= _AUDIT_TOL * classification_scale(boundary, candidate, p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeakFormGrid:
     """Sampling window and resolution for the weak-form audit.
 
@@ -319,46 +316,3 @@ def weak_residual(
     res1, res2 = (np.append(q[0, 0], q[1:, 1:]).tolist() for q in (abs(r1) / mass, abs(r2) / mass))
     return _worst(res1), _worst(res2)
 
-
-def on_curve_solution(
-    family: WaveFamily,
-    boundary: State,
-    initial: State,
-    p: Params,
-    x: float,
-    t: float,
-) -> State:
-    """Closed form of the quarter-plane solution for on-curve data.
-
-    Requires the initial state to lie on the ``family`` wave curve through
-    the boundary state (equal Riemann invariant of that family).  The
-    solution is then a single wave of that family and can be written down
-    directly; this evaluator is independent of the wave-structure solver
-    and serves as a regression oracle for it.
-    """
-    if not (0.0 < x < math.inf and 0.0 < t < math.inf):
-        raise ValueError(f"point (x={x}, t={t}) outside the open quarter plane")
-    slope = family.curve_slope(p)
-    mismatch = (initial.sigma - boundary.sigma) - slope * (initial.u - boundary.u)
-    scale = classification_scale(boundary, initial, p)
-    if abs(mismatch) > DEFAULT_TOL * scale:
-        raise ValueError(
-            "initial state does not lie on the wave curve of that family "
-            f"through the boundary state (mismatch {mismatch!r})"
-        )
-    v_b = family.characteristic_speed(boundary, p)
-    v_0 = family.characteristic_speed(initial, p)
-    xi = x / t
-    if p.k * abs(initial.u - boundary.u) <= DEFAULT_TOL * scale:
-        return initial
-    if v_b < v_0:
-        # single fan between the two characteristic speeds
-        if xi < v_b:
-            return boundary
-        if xi < v_0:
-            u = xi - family.speed_offset(p)
-            return State(u=u, sigma=boundary.sigma + slope * (u - boundary.u))
-        return initial
-    # single shock; right-continuous at the shock location
-    s = 0.5 * (boundary.u + initial.u) + family.speed_offset(p)
-    return boundary if xi < s else initial

@@ -1,6 +1,6 @@
 """Shared fixtures: hand-built golden cases, random problem samplers and
-test tools (wave-curve line, Riemann invariants, a perturbed structure, a
-brute-force admissible-set scan).
+test tools (wave-curve line, Riemann invariants, the closed form for
+on-curve data, a perturbed structure, a brute-force admissible-set scan).
 
 Every golden case carries an independent piecewise evaluator written out
 with literal constants (worked by hand from the wave-curve relations and
@@ -10,13 +10,16 @@ All golden cases use k = 1.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
+import pytest
 
-from elastowave import (Params, Shock, State, WaveFamily, WaveStructure, classification_scale,
-                        solve_ibvp)
+from elastowave import (DEFAULT_TOL, Params, Shock, State, ViscousConfig, ViscousField, WaveFamily,
+                        WaveStructure, classification_scale, numerics, solve_ibvp, viscous_solve)
 
 K1 = Params(1.0)
 
@@ -43,6 +46,50 @@ def riemann_invariants(s: State, p: Params) -> tuple[float, float]:
 def state_from_invariants(w1: float, w2: float, p: Params) -> State:
     """Inverse of :func:`riemann_invariants`."""
     return State(u=(w2 - w1) / (2.0 * p.k), sigma=0.5 * (w1 + w2))
+
+
+def on_curve_solution(
+    family: WaveFamily,
+    boundary: State,
+    initial: State,
+    p: Params,
+    x: float,
+    t: float,
+) -> State:
+    """Closed form of the quarter-plane solution for on-curve data.
+
+    Requires the initial state to lie on the ``family`` wave curve through
+    the boundary state (equal Riemann invariant of that family).  The
+    solution is then a single wave of that family and can be written down
+    directly; this evaluator is independent of the wave-structure solver
+    and serves as a regression oracle for it.
+    """
+    if not (0.0 < x < math.inf and 0.0 < t < math.inf):
+        raise ValueError(f"point (x={x}, t={t}) outside the open quarter plane")
+    slope = family.curve_slope(p)
+    mismatch = (initial.sigma - boundary.sigma) - slope * (initial.u - boundary.u)
+    scale = classification_scale(boundary, initial, p)
+    if abs(mismatch) > DEFAULT_TOL * scale:
+        raise ValueError(
+            "initial state does not lie on the wave curve of that family "
+            f"through the boundary state (mismatch {mismatch!r})"
+        )
+    v_b = family.characteristic_speed(boundary, p)
+    v_0 = family.characteristic_speed(initial, p)
+    xi = x / t
+    if p.k * abs(initial.u - boundary.u) <= DEFAULT_TOL * scale:
+        return initial
+    if v_b < v_0:
+        # single fan between the two characteristic speeds
+        if xi < v_b:
+            return boundary
+        if xi < v_0:
+            u = xi - family.speed_offset(p)
+            return State(u=u, sigma=boundary.sigma + slope * (u - boundary.u))
+        return initial
+    # single shock; right-continuous at the shock location
+    s = 0.5 * (boundary.u + initial.u) + family.speed_offset(p)
+    return boundary if xi < s else initial
 
 
 def perturb_shock_speed(
@@ -389,3 +436,47 @@ def random_problem(rng: np.random.Generator, region: str | None = None):
     d2 = signs[1] * float(rng.uniform(0.05, 1.8)) * k * k
     z = State(b.u + (d2 - d1) / (2.0 * k), b.sigma + 0.5 * (d1 + d2))
     return b, z, p
+
+
+# the eps sweep of acceptance criterion 8, largest first
+CRITERION_8_EPS = (0.02, 0.01, 0.005, 0.0025)
+
+
+def criterion_8_config(eps: float, t_end: float = 0.5) -> ViscousConfig:
+    """The viscous grid of acceptance criterion 8: nx = 2000 on [-1, 2.2]."""
+    return ViscousConfig(epsilon=eps, x_min=-1.0, x_max=2.2, nx=2000, t_end=t_end)
+
+
+class _NumpyCountingSteps:
+    """numpy, except that np.subtract counts the viscous steps: the first
+    call of every step writes the 2 nx - 1 differences d."""
+
+    def __init__(self, nx):
+        self.nx, self.steps = nx, 0
+
+    def __getattr__(self, name):
+        if name != "subtract":
+            value = getattr(np, name)
+        else:
+            def value(*args, out):
+                self.steps += out.size == 2 * self.nx - 1
+                return np.subtract(*args, out=out)
+        # the next lookup finds it on the instance, without this call
+        setattr(self, name, value)
+        return value
+
+
+@functools.cache
+def counted_viscous_run(
+    boundary: State, initial: State, p: Params, cfg: ViscousConfig
+) -> tuple[ViscousField, int]:
+    """``viscous_solve(boundary, initial, p, cfg)`` and the number of steps
+    it took, run once per test session for each configuration.  Every
+    caller gets the same field, so its columns are made read-only."""
+    counting = _NumpyCountingSteps(cfg.nx)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "np", counting)
+        field = viscous_solve(boundary, initial, p, cfg)
+    for column in (field.x, field.u, field.sigma):
+        column.flags.writeable = False
+    return field, counting.steps

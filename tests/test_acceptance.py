@@ -13,7 +13,6 @@ from elastowave import (
     Params,
     Shock,
     State,
-    ViscousConfig,
     WaveFamily,
     WeakFormGrid,
     fan_continuity_error,
@@ -22,7 +21,6 @@ from elastowave import (
     intermediate_state,
     l1_distance,
     lax_check,
-    on_curve_solution,
     rh_residual,
     rh_scale,
     sample,
@@ -30,15 +28,18 @@ from elastowave import (
     solve_ibvp,
     solve_riemann,
     speed_support,
-    viscous_solve,
     weak_residual,
 )
 from elastowave.cli import main as cli_main
 from problems import (
     ALL_REGIONS,
+    CRITERION_8_EPS,
     GOLDEN_CASES,
     K1,
     REPRESENTATIVES,
+    counted_viscous_run,
+    criterion_8_config,
+    on_curve_solution,
     perturb_shock_speed,
     random_problem,
     sample_points,
@@ -204,21 +205,16 @@ def test_criterion_7_weak_form_audit():
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
 
 
-EPS_SWEEP = (0.02, 0.01, 0.005, 0.0025)
-
-
-def _viscous_config(eps, t_end=0.5, nx=2000):
-    return ViscousConfig(epsilon=eps, x_min=-1.0, x_max=2.2, nx=nx, t_end=t_end)
-
-
 def test_criterion_8_vanishing_viscosity_convergence():
     with criterion(8, "viscous oracle: L1 non-increasing in eps, shock speed to 2%"):
         start = time.perf_counter()
         for label, golden in sorted(REPRESENTATIVES.items()):
             sol = solve_ibvp(golden.boundary, golden.initial, K1)
             dists = []
-            for eps in EPS_SWEEP:
-                field = viscous_solve(golden.boundary, golden.initial, K1, _viscous_config(eps))
+            for eps in CRITERION_8_EPS:
+                field, _ = counted_viscous_run(
+                    golden.boundary, golden.initial, K1, criterion_8_config(eps)
+                )
                 dists.append(l1_distance(field, sol))
             for a, b in zip(dists, dists[1:]):
                 assert b <= a, (label, dists)
@@ -229,8 +225,12 @@ def test_criterion_8_vanishing_viscosity_convergence():
             sol = solve_ibvp(golden.boundary, golden.initial, K1)
             exact_speed = sol.structure.waves[0].speed
             level = 0.5 * (golden.boundary.u + golden.initial.u)
-            f1 = viscous_solve(golden.boundary, golden.initial, K1, _viscous_config(0.0025, t_end=0.25))
-            f2 = viscous_solve(golden.boundary, golden.initial, K1, _viscous_config(0.0025, t_end=0.5))
+            f1, _ = counted_viscous_run(
+                golden.boundary, golden.initial, K1, criterion_8_config(0.0025, t_end=0.25)
+            )
+            f2, _ = counted_viscous_run(
+                golden.boundary, golden.initial, K1, criterion_8_config(0.0025, t_end=0.5)
+            )
             measured = (front_position(f2, level) - front_position(f1, level)) / 0.25
             assert abs(measured - exact_speed) <= 0.02 * abs(exact_speed), (label, measured)
         elapsed = time.perf_counter() - start

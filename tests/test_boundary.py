@@ -11,7 +11,6 @@ from elastowave import (
     fan_continuity_error,
     fan_state,
     in_admissible_set,
-    on_curve_solution,
     sample,
     sample_many,
     solve_ibvp,
@@ -21,6 +20,7 @@ from elastowave import (
 from problems import (
     GOLDEN_CASES,
     K1,
+    on_curve_solution,
     random_problem,
     sample_points,
     scan_admissible_set,

@@ -405,6 +405,20 @@ def test_new_artifacts_get_the_mode_open_gives(tmp_path):
     assert modes == dict.fromkeys(["report.json", "samples.csv", "viscous.csv"], 0o640)
 
 
+def test_overflowing_viscous_window_exits_2(tmp_path, capsys):
+    # x_max - x_min overflows float64: a config error, where the viscous run
+    # used to refuse it as out_of_range, "may take up to nan steps" (exit 3)
+    out = tmp_path / "out"
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        **_BASE_CONFIG, "mode": "exact+viscous", "out": str(out),
+        "viscous": {**_VISCOUS_CONFIG, "x_min": -1e308, "x_max": 1e308},
+    }))
+    assert main(["--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: viscous: window: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "change,field",
     [
@@ -546,13 +560,14 @@ def test_underflowing_shock_flank_exits_3(tmp_path, capsys):
 
 
 def test_overflowed_viscous_sigma_exits_3(tmp_path, capsys):
-    # one viscous step of k^2 u_x at k = 1e150 takes sigma past float64
+    # one viscous step of k^2 u_x at k = 1e150 takes sigma past float64; the
+    # field that would hold the run refuses it
     code, out = run_cli(tmp_path, "sigma", [
         "--k", "1e150", "--ub", "1e152", "--sb", "0", "--u0", "0", "--s0", "0", "--t", "1e-160",
         "--xmax", "1", "--nx", "4", "--mode", "exact+viscous",
     ])
     assert code == 3
-    assert capsys.readouterr().err.startswith("error: viscous sigma is not finite at t=1e-160")
+    assert capsys.readouterr().err.startswith("error: sigma is not finite at t=1e-160")
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 
@@ -12,6 +13,8 @@ from elastowave import (
     Shock,
     State,
     WaveFamily,
+    solve_ibvp,
+    solve_riemann,
 )
 from elastowave.core import ConfigError, Refusal, _check_number, _finite
 from problems import riemann_invariants, state_from_invariants
@@ -22,6 +25,29 @@ speeds = st.floats(min_value=1e-2, max_value=1e3, allow_nan=False)
 
 def characteristic_speeds(s, p):
     return tuple(family.characteristic_speed(s, p) for family in WaveFamily)
+
+
+def test_closed_form_values_have_no_instance_dict():
+    # one problem builds a Params, States, waves, a structure, the signed
+    # distances and a quarter-plane solution: slotted, they carry no __dict__
+    p = Params(1.0)
+    sol = solve_ibvp(State(1.2, 0.0), State(1.6, 0.0), p)  # 5a, two fans
+    shock = solve_riemann(State(1.6, 0.1), State(1.0, -0.5), p).wave1  # 3a
+    values = (p, sol.trace, shock, sol.structure.wave1, sol.structure, sol.distances, sol)
+    assert [type(v).__name__ for v in values] == [
+        "Params", "State", "Shock", "Rarefaction", "WaveStructure", "SignedDistances",
+        "QuarterPlaneSolution",
+    ]
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+
+
+def test_family_sign_is_a_plain_member_attribute():
+    # read on every speed, offset and slope: a value, not a property call
+    assert not isinstance(inspect.getattr_static(WaveFamily, "sign", None), property)
+    for family, sign in ((WaveFamily.ONE, -1.0), (WaveFamily.TWO, 1.0)):
+        assert inspect.getattr_static(family, "sign") == sign
+        assert type(family.sign) is float
 
 
 def test_characteristic_speeds_examples():

@@ -23,7 +23,8 @@ from elastowave import (
 )
 from elastowave import numerics
 from elastowave.core import ConfigError, Refusal
-from problems import K1, REPRESENTATIVES, golden_by_label
+from problems import (CRITERION_8_EPS, K1, REPRESENTATIVES, counted_viscous_run,
+                      criterion_8_config, golden_by_label)
 
 SMALL = ViscousConfig(epsilon=0.01, x_min=-1.0, x_max=1.5, nx=400, t_end=0.3)
 
@@ -63,6 +64,18 @@ def test_config_validation():
         with pytest.raises(ConfigError) as info:
             ViscousConfig(**{**base, "nx": bad})
         assert info.value.field == "nx"
+
+
+def test_window_of_overflowing_width_is_a_config_error():
+    # each end is finite, but x_max - x_min is not: np.linspace would give
+    # nan and inf cells
+    for x_min, x_max in ((-1e308, 1e308), (-9e307, 9e307), (-1.7e308, 1.7e308)):
+        with pytest.raises(ConfigError, match="finite width") as info:
+            ViscousConfig(epsilon=0.01, x_min=x_min, x_max=x_max, nx=100, t_end=0.5)
+        assert info.value.field == "window"
+    # the widest windows that fit still build, on either plane
+    ViscousConfig(epsilon=0.01, x_min=-8e307, x_max=8e307, nx=100, t_end=0.5)
+    ViscousConfig(epsilon=0.01, x_min=0.0, x_max=1.7e308, nx=100, t_end=0.5)
 
 
 def test_constant_data_stays_constant():
@@ -290,6 +303,33 @@ def test_front_position_stays_on_its_interval_at_the_float_limits():
             front([3e-200, 2e-200, 1e-200])
         assert front([3e-200, 2e-200, -1e-200]) == pytest.approx(5 / 3, rel=1e-15)
         assert front([1.5e308, -1.5e308]) == 0.5
+        # x1 - x0 overflows too: the root at -5e307 is interpolated on halves
+        field = ViscousField(x=np.array([-1e308, 1e308]), u=np.array([1.0, -3.0]),
+                             sigma=np.zeros(2), t=1.0)
+        assert front_position(field, 0.0) == -5e307
+        # and with d0 - d1 overflowing as well
+        field = ViscousField(x=np.array([-1.5e308, 1.5e308]), u=np.array([-1.5e308, 0.5e308]),
+                             sigma=np.zeros(2), t=1.0)
+        assert front_position(field, 0.0) == pytest.approx(0.75e308, rel=1e-15)
+
+
+# front_position on the oracle_sweep front fields (nx = 1000, eps = 0.0025,
+# t = 0.25 and 0.5): the bits of the version that interpolated on x1 - x0 only
+_ORACLE_FRONTS = {
+    ("3a", 0.25): 0.07587426265417277,
+    ("3a", 0.5): 0.15087686054459984,
+    ("4a", 0.25): 0.3003744426047736,
+    ("4a", 0.5): 0.600392903052424,
+}
+
+
+@pytest.mark.parametrize("label,t_end", list(_ORACLE_FRONTS))
+def test_front_position_keeps_its_bits_on_the_oracle_fronts(label, t_end):
+    g = golden_by_label(label)
+    cfg = ViscousConfig(epsilon=0.0025, x_min=-1.0, x_max=2.2, nx=1000, t_end=t_end)
+    field = viscous_solve(g.boundary, g.initial, K1, cfg)
+    level = 0.5 * (g.boundary.u + g.initial.u)
+    assert front_position(field, level) == _ORACLE_FRONTS[label, t_end]
 
 
 def test_field_csv_rejects_columns_of_unequal_length():
@@ -338,6 +378,19 @@ def test_field_refuses_a_time_or_grid_that_is_not_a_snapshot():
             ViscousField(x=grid, u=u[: grid.size], sigma=s[: grid.size], t=1.0)
     # one finite row is a field
     ViscousField(x=x[:1], u=u[:1], sigma=s[:1], t=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_field_refuses_a_column_that_is_not_finite(bad):
+    # front_position interpolated u = [inf, -1] to nan before such fields
+    # were refused
+    x = np.linspace(0.0, 1.0, 5)
+    for name in ("u", "sigma"):
+        columns = {"u": np.zeros(5), "sigma": np.zeros(5)}
+        columns[name][3] = bad
+        with pytest.raises(Refusal, match=rf"^{name} is not finite at t=0\.25$") as info:
+            ViscousField(x=x, t=0.25, **columns)
+        assert info.value.reason == "out_of_range"
 
 
 def test_diverging_run_is_refused():
@@ -416,24 +469,6 @@ class _NumpyWithoutSteps:
         return getattr(np, name)
 
 
-class _NumpyCountingSteps:
-    """numpy, except that np.subtract counts the viscous steps: the first
-    call of every step writes the 2 nx - 1 differences d."""
-
-    def __init__(self, nx):
-        self.nx, self.steps = nx, 0
-
-    def __getattr__(self, name):
-        if name != "subtract":
-            return getattr(np, name)
-
-        def subtract(*args, out):
-            self.steps += out.size == 2 * self.nx - 1
-            return np.subtract(*args, out=out)
-
-        return subtract
-
-
 def _most_steps(boundary, initial, p, cfg):
     """The bound on a run's step count that the max|u| guard gives:
     t_end max((bound + k) / (cfl dx), 2.5 eps / dx^2)."""
@@ -452,24 +487,18 @@ _U0_DRIVEN = (
 
 
 @pytest.mark.parametrize("label", [*sorted(REPRESENTATIVES), "u0-driven"])
-def test_step_count_stays_within_its_bound(monkeypatch, label):
+def test_step_count_stays_within_its_bound(label):
     # the criterion-8 runs of each representative, and the run whose speed
     # comes from u_0
     runs = [_U0_DRIVEN]
     if label in REPRESENTATIVES:
         g = REPRESENTATIVES[label]
-        runs = [(g.boundary, g.initial, K1, ViscousConfig(
-            epsilon=eps, x_min=-1.0, x_max=2.2, nx=2000, t_end=0.5,
-        )) for eps in (0.02, 0.01, 0.005, 0.0025)]
+        runs = [(g.boundary, g.initial, K1, criterion_8_config(eps)) for eps in CRITERION_8_EPS]
         if label in ("3a", "4a"):  # the first front run
-            runs.append((g.boundary, g.initial, K1, ViscousConfig(
-                epsilon=0.0025, x_min=-1.0, x_max=2.2, nx=2000, t_end=0.25,
-            )))
+            runs.append((g.boundary, g.initial, K1, criterion_8_config(0.0025, t_end=0.25)))
     for run in runs:
-        counting = _NumpyCountingSteps(run[3].nx)
-        monkeypatch.setattr(numerics, "np", counting)
-        viscous_solve(*run)
-        assert 0 < counting.steps <= math.ceil(_most_steps(*run)) + 1
+        _, steps = counted_viscous_run(*run)
+        assert 0 < steps <= math.ceil(_most_steps(*run)) + 1
 
 
 def test_run_over_the_step_budget_is_refused_before_its_first_step(monkeypatch):
@@ -707,8 +736,9 @@ def _exact_two_fan_field():
     return ViscousField(x=x, u=u, sigma=s, t=1.0)
 
 
-# -0.0 next to 0.0: equal values with different reprs
-_EDGE_COLUMN = [0.0, -0.0, -0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-5, 1e16, 0.1]
+# -0.0 next to 0.0: equal values with different reprs; a field's u and
+# sigma are finite, so these are the edges such a column has
+_EDGE_COLUMN = [0.0, -0.0, -0.0, 0.0, 1e308, -1.5e-323, -1e308, 5e-324, 1e-5, 1e16, 0.1]
 # a field's x is finite and strictly increasing: the edges such a column has
 _EDGE_X = [-1e16, -0.1, -1e-5, -5e-324, -0.0, 5e-324, 1e-5, 0.1, 1.0, 1e16, 1e300]
 
@@ -744,7 +774,9 @@ def test_field_csv_bytes_match_csv_module(tmp_path, name):
 
 # values drawn often from a small pool, so that neighbouring runs are
 # often equal values with different bits, such as 0.0 and -0.0
-_values = st.one_of(st.sampled_from(_EDGE_COLUMN), st.floats(width=64))
+_values = st.one_of(
+    st.sampled_from(_EDGE_COLUMN), st.floats(allow_nan=False, allow_infinity=False)
+)
 _runs = st.lists(st.tuples(_values, st.integers(1, 6)), max_size=25)
 # a field's x: distinct finite values in increasing order
 _grid = st.lists(

@@ -210,6 +210,9 @@ def test_sample_many_matches_scalar_sample_bitwise():
     problems = [random_problem(rng) for _ in range(200)]
     problems.append((State(1.6, 0.1), State(1.0, -0.5), P1))  # 3a: nan gave right
     problems.append((State(0.3, -0.2), State(0.3 + 1e-14, -0.2), P1))  # no waves
+    # -0.0 left of every wave: the fill that starts sample_many keeps its sign
+    problems.append((State(-0.0, -0.0), State(1.0, -0.5), P1))
+    assert np.signbit([problems[-1][0].u, problems[-1][0].sigma]).all()
     for b, z, p in problems:
         ws = solve_riemann(b, z, p)
         edges = [v for w in ws.waves for v in speed_support(w)]

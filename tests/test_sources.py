@@ -1,7 +1,9 @@
 """Static checks of the package and script sources, parsed with ast.
 
 They catch what a refactor tends to leave behind: an import that nothing
-uses, and a private module-level def in the package that nothing calls.
+uses, a private module-level def in the package that nothing calls, and an
+export that only the tests call.  Every dataclass in the package is a
+frozen, slotted value.
 In the package they also hold the numeric and error rules: tolerances are
 named constants, no float is raised to a power, no handler is broad
 enough to catch a bug as if it were a refusal, the oracles stay
@@ -247,3 +249,52 @@ def test_files_are_written_by_one_writer(path):
     found = sorted(node.lineno for node in _write_opens(tree, skip=writer))
     assert not found, f"{path.name} opens a file for writing outside {_WRITER[1]} on lines {found}"
     assert writer is not None or path.name != _WRITER[0], f"{_WRITER[1]} is not in {path.name}"
+
+
+def _dataclass_keywords(node: ast.ClassDef) -> dict | None:
+    """The keywords of the class's ``@dataclass`` decorator, as literals
+    ({} for a bare ``@dataclass``); None if it has no such decorator."""
+    for deco in node.decorator_list:
+        call = deco if isinstance(deco, ast.Call) else None
+        name = ast.unparse(call.func if call else deco)
+        if name in ("dataclass", "dataclasses.dataclass"):
+            return {k.arg: ast.literal_eval(k.value) for k in call.keywords} if call else {}
+    return None
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_dataclasses_are_frozen_and_slotted(path):
+    # checked once on construction, then immutable, and without a
+    # per-instance __dict__: the closed-form path builds many of them
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ClassDef):
+            keywords = _dataclass_keywords(node)
+            if keywords is not None and not (keywords.get("frozen") and keywords.get("slots")):
+                found.append(node.name)
+    assert not found, f"{path.name} has dataclasses without frozen=True, slots=True: {found}"
+
+
+# the code that calls the package: its own modules, the scripts and the
+# benchmark, not the tests
+CALLERS = IMPORTERS + [
+    path for path in sorted((ROOT / "perfbench").glob("*.py")) if not path.name.startswith("test_")
+]
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # a name the package exports for the tests alone belongs in the tests
+    init = _tree(ROOT / "src" / "elastowave" / "__init__.py")
+    exported = [a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for a in node.names]
+    called = set()
+    for path in CALLERS:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                called.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                called.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                called |= {a.name for a in node.names}
+    orphans = sorted(set(exported) - called)
+    assert not orphans, f"exports that nothing in src, scripts or perfbench calls: {orphans}"
