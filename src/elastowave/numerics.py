@@ -147,9 +147,10 @@ def viscous_solve(
     u and sigma lie end to end in one flat array w = [u, sigma], so each
     difference, sum and product of a step is one contiguous pass over both,
     written into buffers made once before the loop.  The two cells at the
-    seam, u's last and sigma's first, are boundary cells that every step
-    resets; the difference across the seam is set to zero, so that no value
-    mixes u with sigma.
+    seam, u's last and sigma's first, are boundary cells: between a step's
+    update and its resets they may hold values that mix u with sigma, and
+    the resets overwrite both before the guard or a caller reads them.
+    u's first cell lies outside the update and is set once.
 
     Every buffer comes from ``_aligned`` and starts on a 64-byte cache line,
     so a step's speed does not hang on where the allocator put it.  ``w`` is
@@ -176,9 +177,8 @@ def viscous_solve(
     u, sigma = w[:nx], w[nx:]
     u[:] = np.where(x < 0.0, boundary.u, initial.u)
     sigma[:] = np.where(x < 0.0, boundary.sigma, initial.sigma)
-    left = np.array([boundary.u, boundary.sigma])
-    first, last, before_last = w[::nx], w[nx - 1 :: nx], w[nx - 2 :: nx]
-    first[:] = left
+    u[0], sigma[0] = boundary.u, boundary.sigma
+    last, before_last = w[nx - 1 :: nx], w[nx - 2 :: nx]
 
     diffusion = eps / (dx * dx)
     diffusive_dt = dx * dx / (_DIFFUSIVE_DIVISOR * eps)
@@ -186,14 +186,13 @@ def viscous_solve(
     # the sigma_x term of the u equation and the k^2 u_x term of the sigma one
     coupling_u, coupling_sigma = 1.0 / two_dx, (p.k * p.k) / two_dx
 
-    # d[j] = w[j+1] - w[j]; central, rhs, adv and term belong to cell j+1,
-    # so u's interior is [:nx-2] of them and sigma's is [nx:]
-    abs_u = _aligned(nx)
+    # d[j] = w[j+1] - w[j]; central, rhs and term belong to cell j+1, so
+    # u's interior is [:nx-2] of them and sigma's is [nx:]; adv = u / 2dx
+    # on u's interior, the advection speed of both rows
+    abs_u, adv = _aligned(nx), _aligned(nx - 2)
     d = _aligned(2 * nx - 1)
-    central, rhs, term, adv = (_aligned(2 * nx - 2) for _ in range(4))
-    adv[:] = 0.0  # zero at the seam cells
-    w1, w0, d1, d0, inner = w[1:], w[:-1], d[1:], d[:-1], w[1:-1]
-    adv_u, adv_sigma, u_inner = adv[: nx - 2], adv[nx:], u[1:-1]
+    central, rhs, term = (_aligned(2 * nx - 2) for _ in range(3))
+    w1, w0, d1, d0, inner, u_inner = w[1:], w[:-1], d[1:], d[:-1], w[1:-1], u[1:-1]
     central_u, central_sigma = central[: nx - 2], central[nx:]
     term_u, term_sigma = term[: nx - 2], term[nx:]
     t = 0.0
@@ -208,21 +207,20 @@ def viscous_solve(
             return ViscousField(x=x, u=u, sigma=sigma, t=cfg.t_end)
         dt = min(cfl_dx / (umax + p.k), diffusive_dt, cfg.t_end - t)
         np.subtract(w1, w0, out=d)
-        d[nx - 1] = 0.0
         np.add(d1, d0, out=central)
         # rhs = diffusion (d1 - d0) - (u / 2dx) central + coupling (other row's central)
         np.subtract(d1, d0, out=rhs)
         np.multiply(rhs, diffusion, out=rhs)
-        np.divide(u_inner, two_dx, out=adv_u)
-        adv_sigma[:] = adv_u
-        np.multiply(adv, central, out=term)
+        np.divide(u_inner, two_dx, out=adv)
+        np.multiply(adv, central_u, out=term_u)
+        np.multiply(adv, central_sigma, out=term_sigma)
         np.subtract(rhs, term, out=rhs)
         np.multiply(central_sigma, coupling_u, out=term_u)
         np.multiply(central_u, coupling_sigma, out=term_sigma)
         np.add(rhs, term, out=rhs)
         np.multiply(rhs, dt, out=rhs)
         np.add(inner, rhs, out=inner)
-        first[:] = left
+        sigma[0] = boundary.sigma
         last[:] = before_last
         t += dt
 

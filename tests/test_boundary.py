@@ -329,6 +329,26 @@ def test_trace_is_admissible_bulk():
     assert min(seen.values()) > 500, seen
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "in_admissible_set cuts at the scale of b and the trace, not of the data: "
+    "a 5c-ii trace small next to z carries z's rounding and is refused "
+    "(the 5c-ii FOUND line in CHANGES.md)"
+))
+def test_small_5c_ii_trace_is_admissible():
+    # b = (0, 0); the middle state m lies on the 1-line through b with
+    # u_m = r k 1e-6, and z on the 2-line through m at u = A, so every draw
+    # is 5c-ii with trace m, a millionth of z
+    rng = np.random.default_rng(5)
+    b = State(0.0, 0.0)
+    for _ in range(2000):
+        k, a, r = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0)
+        p = Params(float(k))
+        u_m = float(r * k * 1e-6)
+        m = State(u_m, wave_curve_sigma(b, WaveFamily.ONE, u_m, p))
+        z = State(float(a), wave_curve_sigma(m, WaveFamily.TWO, float(a), p))
+        assert in_admissible_set(b, solve_ibvp(b, z, p).trace, p), (z, p.k)
+
+
 def test_strong_and_weak_attainment():
     rng = np.random.default_rng(53)
     strong = weak = 0

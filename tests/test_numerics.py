@@ -671,6 +671,25 @@ def test_viscous_digests_are_pinned(name):
     assert _field_digest(viscous_solve(boundary, initial, p, cfg)) == _VISCOUS_DIGESTS[name]
 
 
+def test_no_value_is_read_from_a_buffer_before_the_step_writes_it(monkeypatch):
+    # every buffer starts as NaN, so a value the step reads before writing
+    # it (the seam cells between the update and the resets included) would
+    # reach the guard or the field
+    aligned = numerics._aligned
+
+    def nan_filled(n, first=0):
+        a = aligned(n, first)
+        a.fill(np.nan)
+        return a
+
+    monkeypatch.setattr(numerics, "_aligned", nan_filled)
+    changed = [
+        name for name, run in _DIGEST_RUNS.items()
+        if _field_digest(viscous_solve(*run)) != _VISCOUS_DIGESTS[name]
+    ]
+    assert changed == []
+
+
 @pytest.mark.parametrize("first", [0, 1])
 @pytest.mark.parametrize("n", [2, 5, 16, 1000, 2001])
 def test_aligned_buffer_puts_item_first_on_a_cache_line(n, first):
