@@ -10,7 +10,9 @@ Usage:
 Each pair runs ``perfbench/run.py --trace 0`` once per side, for each
 workload, on seed ``--seed + pair``; with ``--parent`` the two checkouts
 alternate, and so does which of them runs first.  The file holds the
-machine, both commits, and for each workload and end-to-end metric of
+machine, both commits, each side's ``src_sha256`` (a sha256 over the sorted
+relative paths and bytes of ``src/**/*.py``, which names what ran even when
+it is not committed), and for each workload and end-to-end metric of
 BENCHMARK.json every run, each side's median and quartiles and, with a
 parent, the number of pairs the change won (ties count for neither) and the
 verdict: the move of the change's median, whether it is within the metric's
@@ -19,6 +21,7 @@ Standard library only.
 """
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -45,6 +48,16 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "correct": result["correct"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
+
+
+def src_sha256(checkout: Path) -> str:
+    """sha256 over the sorted relative paths and bytes of src/**/*.py."""
+    digest = hashlib.sha256()
+    src = checkout / "src"
+    for path in sorted(src.rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(src).as_posix()}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
 
 
 def summary(values: list[float]) -> dict:
@@ -87,6 +100,7 @@ def verdict(entry: dict, pairs: int) -> dict:
 
 def record(args, spec: dict) -> dict:
     sides = {"change": ROOT} if args.parent is None else {"parent": args.parent, "change": ROOT}
+    hashes = {side: src_sha256(path) for side, path in sides.items()}
     runs = {w: {side: [] for side in sides} for w in args.workload}
     for pair in range(args.pairs):
         seed = args.seed + pair
@@ -107,6 +121,7 @@ def record(args, spec: dict) -> dict:
         "seeds": [args.seed + pair for pair in range(args.pairs)],
         "machine": {key: first["change"][key] for key in ("nproc", "cpu_model", "python", "numpy")},
         "commits": {side: meta["git_commit"] for side, meta in first.items()},
+        "src_sha256": hashes,
         "workloads": {},
     }
     for workload, by_side in runs.items():

@@ -14,11 +14,9 @@ from .core import (
 from .curves import (
     DEFAULT_TOL,
     RegionLabel,
-    SignedDistances,
     classification_scale,
     classify,
     intermediate_state,
-    signed_distances,
 )
 from .riemann import fan_state, sample, sample_many, solve_riemann, speed_support
 from .boundary import CaseLabel, QuarterPlaneSolution, solve_ibvp
@@ -28,10 +26,7 @@ from .verify import (
     audit,
     fan_continuity_error,
     in_admissible_set,
-    lax_check,
     max_rh_residual,
-    rh_residual,
-    rh_scale,
     waves_ordered,
     weak_residual,
 )

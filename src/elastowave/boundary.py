@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import Params, Rarefaction, Shock, State, Wave, WaveStructure
-from .curves import DEFAULT_TOL, RegionLabel, SignedDistances, classify
+from .curves import DEFAULT_TOL, RegionLabel, classify
 from .riemann import _left_of_waves, _structure, fan_state
 
 __all__ = [
@@ -108,7 +108,7 @@ class QuarterPlaneSolution:
 
     structure: WaveStructure
     region: RegionLabel
-    distances: SignedDistances
+    distances: tuple[float, float]
     case: CaseLabel
     resolved_case: CaseLabel
     trace: State

@@ -200,7 +200,7 @@ def run(cfg: ProblemConfig) -> None:
         "case": sol.case.value,
         "resolved_case": sol.resolved_case.value,
         "region": sol.region.value,
-        "signed_distances": {"d1": sol.distances.d1, "d2": sol.distances.d2},
+        "signed_distances": {"d1": sol.distances[0], "d2": sol.distances[1]},
         "intermediate_state": _state_json(sol.structure.middle),
         "trace": _state_json(sol.trace),
         "waves": [_wave_json(w) for w in sol.structure.waves],

@@ -23,7 +23,6 @@ tests lock this derivation down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .core import Params, Refusal, State
@@ -31,9 +30,7 @@ from .core import Params, Refusal, State
 __all__ = [
     "DEFAULT_TOL",
     "RegionLabel",
-    "SignedDistances",
     "classification_scale",
-    "signed_distances",
     "classify",
     "intermediate_state",
 ]
@@ -53,19 +50,6 @@ class RegionLabel(Enum):
     GAMMA4 = "Gamma4"
 
 
-@dataclass(frozen=True, slots=True)
-class SignedDistances:
-    """Invariant mismatches of a query state relative to a base state.
-
-    d1 = (sigma_q - k u_q) - (sigma_b - k u_b) vanishes exactly on the
-    family-ONE line, d2 = (sigma_q + k u_q) - (sigma_b + k u_b) on the
-    family-TWO line.
-    """
-
-    d1: float
-    d2: float
-
-
 def classification_scale(a: State, b: State, p: Params) -> float:
     """Stress scale max(|sigma|, k |u|) of two states, the scale of every
     tolerance on sigma, k u, d1 or d2.  Floor-free, it goes as a^2 under
@@ -76,34 +60,34 @@ def classification_scale(a: State, b: State, p: Params) -> float:
     return scale
 
 
-def signed_distances(base: State, query: State, p: Params) -> SignedDistances:
-    du = query.u - base.u
-    ds = query.sigma - base.sigma
-    return SignedDistances(d1=ds - p.k * du, d2=ds + p.k * du)
-
-
-def classify(base: State, query: State, p: Params) -> tuple[RegionLabel, SignedDistances]:
+def classify(base: State, query: State, p: Params) -> tuple[RegionLabel, tuple[float, float]]:
     """Locate ``query`` relative to the wave curves through ``base``.
 
-    On-curve detection wins over sector labels, and a query matching the
-    base itself is COINCIDENT.  The tolerance is DEFAULT_TOL relative to
-    :func:`classification_scale`.
+    Returns the label and the invariant mismatches (d1, d2):
+    d1 = (sigma_q - k u_q) - (sigma_b - k u_b) vanishes exactly on the
+    family-ONE line, d2 = (sigma_q + k u_q) - (sigma_b + k u_b) on the
+    family-TWO line.  On-curve detection wins over sector labels, and a
+    query matching the base itself is COINCIDENT.  The tolerance is
+    DEFAULT_TOL relative to :func:`classification_scale`.
     """
-    dist = signed_distances(base, query, p)
-    cut = DEFAULT_TOL * classification_scale(base, query, p)
-    on1 = abs(dist.d1) <= cut
-    on2 = abs(dist.d2) <= cut
     du = query.u - base.u
+    ds = query.sigma - base.sigma
+    d1 = ds - p.k * du
+    d2 = ds + p.k * du
+    dist = (d1, d2)
+    cut = DEFAULT_TOL * classification_scale(base, query, p)
+    on1 = abs(d1) <= cut
+    on2 = abs(d2) <= cut
     if on1 and on2 and p.k * abs(du) <= cut:
         return RegionLabel.COINCIDENT, dist
     if on1:
         return (RegionLabel.ON_R1 if du > 0.0 else RegionLabel.ON_S1), dist
     if on2:
         return (RegionLabel.ON_R2 if du > 0.0 else RegionLabel.ON_S2), dist
-    if dist.d1 < 0.0:
-        label = RegionLabel.GAMMA1 if dist.d2 > 0.0 else RegionLabel.GAMMA2
+    if d1 < 0.0:
+        label = RegionLabel.GAMMA1 if d2 > 0.0 else RegionLabel.GAMMA2
     else:
-        label = RegionLabel.GAMMA4 if dist.d2 > 0.0 else RegionLabel.GAMMA3
+        label = RegionLabel.GAMMA4 if d2 > 0.0 else RegionLabel.GAMMA3
     return label, dist
 
 

@@ -245,7 +245,7 @@ def _sigma_xi_slope(ws: WaveStructure, xi: np.ndarray, p: Params) -> np.ndarray:
     slope = np.zeros_like(xi)
     for w in ws.waves:
         if isinstance(w, Rarefaction):
-            inside = (xi >= w.xi_lo) & (xi < w.xi_hi)
+            inside = (xi > w.xi_lo) & (xi < w.xi_hi)
             slope[inside] = w.family.curve_slope(p)
     return slope
 

@@ -13,6 +13,7 @@ from elastowave import (
     Params,
     Shock,
     State,
+    ViscousConfig,
     WaveFamily,
     WeakFormGrid,
     fan_continuity_error,
@@ -20,17 +21,16 @@ from elastowave import (
     in_admissible_set,
     intermediate_state,
     l1_distance,
-    lax_check,
-    rh_residual,
-    rh_scale,
     sample,
     sample_many,
     solve_ibvp,
     solve_riemann,
     speed_support,
+    viscous_solve,
     weak_residual,
 )
 from elastowave.cli import main as cli_main
+from elastowave.verify import lax_check, rh_residual, rh_scale
 from problems import (
     ALL_REGIONS,
     CRITERION_8_EPS,
@@ -235,6 +235,24 @@ def test_criterion_8_vanishing_viscosity_convergence():
             assert abs(measured - exact_speed) <= 0.02 * abs(exact_speed), (label, measured)
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0, f"took {elapsed:.2f}s"
+
+
+def test_quarter_plane_viscous_limit_on_every_subcase():
+    # the boundary datum held at x = 0 under viscosity: L1 to the exact
+    # quarter-plane solution falls as eps shrinks on all 26 sub-cases, and
+    # where the trace differs from it only in a layer (the b sub-cases) the
+    # layer's mass is O(eps), so each halving of eps at least divides L1 by 1.6
+    for golden in GOLDEN_CASES:
+        sol = solve_ibvp(golden.boundary, golden.initial, K1)
+        dists = [
+            l1_distance(viscous_solve(golden.boundary, golden.initial, K1, ViscousConfig(
+                epsilon=eps, x_min=0.0, x_max=2.2, nx=1000, t_end=0.5)), sol)
+            for eps in (0.02, 0.01, 0.005)
+        ]
+        for a, b in zip(dists, dists[1:]):
+            assert b < a, (golden.label, dists)
+            if golden.label.endswith("b"):
+                assert a >= 1.6 * b, (golden.label, dists)
 
 
 def test_criterion_9_trace_admissibility():

@@ -28,15 +28,14 @@ def characteristic_speeds(s, p):
 
 
 def test_closed_form_values_have_no_instance_dict():
-    # one problem builds a Params, States, waves, a structure, the signed
-    # distances and a quarter-plane solution: slotted, they carry no __dict__
+    # one problem builds a Params, States, waves, a structure and a
+    # quarter-plane solution: slotted, they carry no __dict__
     p = Params(1.0)
     sol = solve_ibvp(State(1.2, 0.0), State(1.6, 0.0), p)  # 5a, two fans
     shock = solve_riemann(State(1.6, 0.1), State(1.0, -0.5), p).wave1  # 3a
-    values = (p, sol.trace, shock, sol.structure.wave1, sol.structure, sol.distances, sol)
+    values = (p, sol.trace, shock, sol.structure.wave1, sol.structure, sol)
     assert [type(v).__name__ for v in values] == [
-        "Params", "State", "Shock", "Rarefaction", "WaveStructure", "SignedDistances",
-        "QuarterPlaneSolution",
+        "Params", "State", "Shock", "Rarefaction", "WaveStructure", "QuarterPlaneSolution",
     ]
     for value in values:
         assert not hasattr(value, "__dict__"), type(value).__name__

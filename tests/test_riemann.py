@@ -8,15 +8,13 @@ from elastowave import (
     WaveFamily,
     fan_state,
     intermediate_state,
-    lax_check,
-    rh_residual,
-    rh_scale,
     sample,
     sample_many,
     solve_riemann,
     speed_support,
     waves_ordered,
 )
+from elastowave.verify import lax_check, rh_residual, rh_scale
 from problems import random_problem, wave_curve_sigma
 
 P1 = Params(1.0)

@@ -58,6 +58,10 @@ def test_bench_record_writes_both_sides(tmp_path):
     assert (record["schema"], record["pairs"], record["seeds"]) == (1, 1, [1])
     assert set(record["machine"]) == {"nproc", "cpu_model", "python", "numpy"}
     assert set(record["commits"]) == {"parent", "change"}
+    hashes = record["src_sha256"]
+    assert set(hashes) == {"parent", "change"}
+    assert all(len(h) == 64 and set(h) <= set("0123456789abcdef") for h in hashes.values())
+    assert hashes["parent"] == hashes["change"]
     (name,) = record["workloads"]
     assert name == "cli_artifacts"
     workload = record["workloads"][name]

@@ -12,16 +12,14 @@ from hypothesis import strategies as st
 
 from elastowave import (
     Params,
+    Rarefaction,
     Shock,
     State,
     WaveFamily,
     WeakFormGrid,
     audit,
     fan_continuity_error,
-    lax_check,
     max_rh_residual,
-    rh_residual,
-    rh_scale,
     solve_ibvp,
     solve_riemann,
     waves_ordered,
@@ -31,8 +29,10 @@ from elastowave import verify
 from elastowave.cli import main as cli_main
 from elastowave.core import ConfigError
 from elastowave.riemann import sample_many
-from elastowave.verify import _AUDIT_TOL, _sigma_xi_slope
-from problems import K1, REPRESENTATIVES, golden_by_label, perturb_shock_speed, wave_curve_sigma
+from elastowave.verify import _AUDIT_TOL, _sigma_xi_slope, lax_check, rh_residual, rh_scale
+from problems import (
+    GOLDEN_CASES, K1, REPRESENTATIVES, golden_by_label, perturb_shock_speed, wave_curve_sigma,
+)
 
 finite = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 speeds = st.floats(min_value=0.05, max_value=10.0, allow_nan=False)
@@ -217,6 +217,19 @@ def test_weak_residual_rejects_wrong_speed():
     # and the defect does not vanish under refinement
     wrong_coarse = weak_residual(bad, K1, GRID)
     assert wrong[0] > 0.3 * wrong_coarse[0]
+
+
+def test_sigma_slope_is_zero_on_fan_edges():
+    # d(sigma)/d(xi) is the fan's slope on the open interval (xi_lo, xi_hi),
+    # where sample_many writes the fan; on either edge sample_many gives a
+    # constant state, so the slope there is zero (1a: [0, 1, 0] at 0.5, 0.75, 1)
+    for g in GOLDEN_CASES:
+        ws = solve_ibvp(g.boundary, g.initial, K1).structure
+        for w in ws.waves:
+            if isinstance(w, Rarefaction):
+                xi = np.array([w.xi_lo, 0.5 * (w.xi_lo + w.xi_hi), w.xi_hi])
+                slope = _sigma_xi_slope(ws, xi, K1).tolist()
+                assert slope == [0.0, w.family.curve_slope(K1), 0.0], g.label
 
 
 def test_weak_residual_keeps_a_nan():
