@@ -18,7 +18,7 @@ from .curves import (
     classify,
     intermediate_state,
 )
-from .riemann import fan_state, sample, sample_many, solve_riemann, speed_support
+from .riemann import fan_state, sample, sample_many, solve_riemann
 from .boundary import CaseLabel, QuarterPlaneSolution, solve_ibvp
 from .verify import (
     WeakFormGrid,

@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Params, Rarefaction, Shock, State, Wave, WaveStructure
+from .core import Params, Rarefaction, State, Wave, WaveStructure
 from .curves import DEFAULT_TOL, RegionLabel, classify
 from .riemann import _left_of_waves, _structure, fan_state
 
@@ -144,26 +144,18 @@ def _place_waves(
     trace = _left_of_waves(ws)
     visible: list[Wave] = []
     for w in ws.waves:
-        if isinstance(w, Shock):
-            v = w.speed
-            sonic = sonic or abs(v) <= cut
-            if v > 0.0:
-                positive += 1
-                visible.append(w)
-            else:
-                trace = w.right
+        lo, hi = w.xi_lo, w.xi_hi
+        sonic = sonic or abs(lo) <= cut or abs(hi) <= cut
+        # a fan has two edges even where its interval rounds to a point
+        edges = (lo > 0.0) + (hi > 0.0) if isinstance(w, Rarefaction) else hi > 0.0
+        if edges:
+            positive += edges
+            if lo < 0.0:
+                trace = fan_state(w.left, w.family, 0.0, p)
+                w = Rarefaction(w.family, trace, w.right, 0.0, hi)
+            visible.append(w)
         else:
-            lo, hi = w.xi_lo, w.xi_hi
-            sonic = sonic or abs(lo) <= cut or abs(hi) <= cut
-            edges = (lo > 0.0) + (hi > 0.0)
-            if edges:
-                positive += edges
-                if lo < 0.0:
-                    trace = fan_state(w.left, w.family, 0.0, p)
-                    w = Rarefaction(w.family, trace, w.right, 0.0, hi)
-                visible.append(w)
-            else:
-                trace = w.right
+            trace = w.right
     resolved = _SUBCASES[region][positive]
     return (CaseLabel.SONIC if sonic else resolved), resolved, trace, tuple(visible)
 

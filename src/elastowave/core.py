@@ -158,7 +158,9 @@ class Shock:
     The flanking states sit on the family's wave curve with the right
     flank at lower velocity; the speed is the arithmetic mean of the
     flank velocities plus the family offset.  Equal flanks (a jump that
-    underflowed) raise Refusal("out_of_range").
+    underflowed) raise Refusal("out_of_range").  Like a fan, a shock
+    occupies an interval [xi_lo, xi_hi] of xi = x/t: the one point
+    [speed, speed].
     """
 
     family: WaveFamily
@@ -170,6 +172,14 @@ class Shock:
         _finite("speed", self.speed)
         if self.left == self.right:
             raise Refusal("out_of_range", "shock flanks must differ; zero-strength waves are absent")
+
+    @property
+    def xi_lo(self) -> float:
+        return self.speed
+
+    @property
+    def xi_hi(self) -> float:
+        return self.speed
 
 
 @dataclass(frozen=True, slots=True)

@@ -81,10 +81,10 @@ class ViscousConfig:
 class ViscousField:
     """Snapshot of a solution at time t on a uniform grid.
 
-    x, u and sigma must be 1-D arrays of one length (zero rows allowed),
-    else ValueError; x finite and strictly increasing, u and sigma finite
-    and t finite and > 0, else Refusal("out_of_range"), as for a sample
-    grid that collapses.
+    x, u and sigma must be 1-D and of one length (zero rows allowed),
+    else ValueError, and are stored as float64 arrays; x finite and
+    strictly increasing, u and sigma finite and t finite and > 0, else
+    Refusal("out_of_range"), as for a sample grid that collapses.
     """
 
     x: np.ndarray
@@ -96,9 +96,11 @@ class ViscousField:
         shapes = [np.shape(c) for c in (self.x, self.u, self.sigma)]
         if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
             raise ValueError(f"x, u, sigma must be 1-D and of one length, got shapes {shapes}")
+        for name in ("x", "u", "sigma"):  # no copy of a float64 array
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if not (math.isfinite(self.t) and self.t > 0.0):
             raise Refusal("out_of_range", f"t must be finite and > 0, got {self.t!r}")
-        x = np.asarray(self.x)
+        x = self.x
         # strictly increasing between finite ends makes every value finite
         if x.size and not (
             math.isfinite(x[0]) and math.isfinite(x[-1]) and (x[1:] > x[:-1]).all()
@@ -279,7 +281,7 @@ def field_csv(field: ViscousField) -> str:
     """
     n = len(field.x)
     rows = [None] * (2 * n)
-    rows[::2] = np.asarray(field.x, dtype=np.float64).tolist()
+    rows[::2] = field.x.tolist()
     rows[1::2] = _row_tails(field.u, field.sigma)
     return ("x,u,sigma\r\n" + "%r%s" * n) % tuple(rows)
 
@@ -292,8 +294,6 @@ def _row_tails(u: np.ndarray, sigma: np.ndarray) -> list[str]:
     long runs of one (u, sigma) pair.  Runs are split where the bit patterns
     differ, not the values: -0.0 == 0.0, but their reprs differ.
     """
-    u = np.asarray(u, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
     u_bits, sigma_bits = u.view(np.int64), sigma.view(np.int64)
     run_start = np.ones(u.size, dtype=bool)
     np.not_equal(u_bits[1:], u_bits[:-1], out=run_start[1:])

@@ -24,7 +24,6 @@ __all__ = [
     "solve_riemann",
     "sample",
     "sample_many",
-    "speed_support",
 ]
 
 
@@ -87,13 +86,6 @@ def _structure(left: State, right: State, region: RegionLabel, p: Params) -> Wav
     )
 
 
-def speed_support(wave: Wave) -> tuple[float, float]:
-    """Closed interval of speeds occupied by a wave."""
-    if isinstance(wave, Shock):
-        return wave.speed, wave.speed
-    return wave.xi_lo, wave.xi_hi
-
-
 def sample(ws: WaveStructure, xi: float, p: Params) -> State:
     """Value of the self-similar solution at xi = x/t (right-continuous).
 
@@ -101,26 +93,12 @@ def sample(ws: WaveStructure, xi: float, p: Params) -> State:
     trace, which the solver takes from its pass over the wave edges:
     sample(ws, 0.0, p) gives the same bits.
     """
-    w2 = ws.wave2
-    if w2 is not None:
-        if isinstance(w2, Shock):
-            if xi >= w2.speed:
-                return ws.right
-        else:
-            if xi >= w2.xi_hi:
-                return ws.right
-            if xi > w2.xi_lo:
-                return fan_state(w2.left, WaveFamily.TWO, xi, p)
-    w1 = ws.wave1
-    if w1 is not None:
-        if isinstance(w1, Shock):
-            if xi >= w1.speed:
-                return ws.middle
-        else:
-            if xi >= w1.xi_hi:
-                return ws.middle
-            if xi > w1.xi_lo:
-                return fan_state(w1.left, WaveFamily.ONE, xi, p)
+    for w, right in ((ws.wave2, ws.right), (ws.wave1, ws.middle)):
+        if w is not None:
+            if xi >= w.xi_hi:
+                return right
+            if xi > w.xi_lo:
+                return fan_state(w.left, w.family, xi, p)
     return _left_of_waves(ws)
 
 
@@ -142,8 +120,8 @@ def sample_many(
     Every point starts at the value :func:`sample` gives when none of its
     tests holds (a nan among them).  The waves are then walked from left
     to right, each writing its fan on (xi_lo, xi_hi) and its right state
-    on xi >= speed or xi >= xi_hi; a later write overwrites an earlier
-    one, which is the order in which :func:`sample` tests.
+    on xi >= xi_hi; a later write overwrites an earlier one, which is the
+    order in which :func:`sample` tests.
     """
     xi = np.asarray(xi, dtype=float)
     first = _left_of_waves(ws)
@@ -155,10 +133,8 @@ def sample_many(
     for wave, right in ((ws.wave1, ws.middle), (ws.wave2, ws.right)):
         if wave is None:
             continue
-        if isinstance(wave, Shock):
-            past = xi >= wave.speed
-        else:
-            past = xi >= wave.xi_hi
+        past = xi >= wave.xi_hi
+        if wave.xi_lo < wave.xi_hi:  # else the open interior is empty
             fan = (xi > wave.xi_lo) & ~past
             xf = xi[fan]
             if xf.size:

@@ -27,7 +27,7 @@ import numpy as np
 from .core import (ConfigError, Params, Rarefaction, Shock, State, WaveFamily, WaveStructure,
                    _check_number)
 from .curves import DEFAULT_TOL, classification_scale
-from .riemann import sample_many, solve_riemann, speed_support
+from .riemann import sample_many, solve_riemann
 
 __all__ = [
     "rh_residual",
@@ -85,7 +85,7 @@ def lax_check(
 
 
 def waves_ordered(ws: WaveStructure, tol: float = 0.0) -> bool:
-    """Whether the speed supports of the two waves do not overlap, to
+    """Whether the xi intervals of the two waves do not overlap, to
     ``tol`` of max |u| of the three states (where the waves meet it is >= 2k).
 
     The two-wave construction is only a single-valued solution when this
@@ -94,7 +94,7 @@ def waves_ordered(ws: WaveStructure, tol: float = 0.0) -> bool:
     if ws.wave1 is None or ws.wave2 is None:
         return True
     scale = max(abs(ws.left.u), abs(ws.middle.u), abs(ws.right.u))
-    return speed_support(ws.wave1)[1] <= speed_support(ws.wave2)[0] + tol * scale
+    return ws.wave1.xi_hi <= ws.wave2.xi_lo + tol * scale
 
 
 def _worst(terms: Iterable[float]) -> float:

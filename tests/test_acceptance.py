@@ -25,7 +25,6 @@ from elastowave import (
     sample_many,
     solve_ibvp,
     solve_riemann,
-    speed_support,
     viscous_solve,
     weak_residual,
 )
@@ -128,7 +127,7 @@ def test_criterion_4_restriction_equivalence_stratified():
                 assert sol.region.value == region
                 hit += 1
                 ws = solve_riemann(b, z, p)
-                hi = max((speed_support(w)[1] for w in ws.waves), default=1.0)
+                hi = max((w.xi_hi for w in ws.waves), default=1.0)
                 xi = np.linspace(0.0, abs(hi) * 1.2 + 1.0, 101)
                 ua, sa = sample_many(ws, xi, p)
                 ub_, sb_ = sample_many(sol.structure, xi, p)
@@ -264,7 +263,7 @@ def test_criterion_9_trace_admissibility():
             sol = solve_ibvp(b, z, p)
             trace = sol.trace
             assert in_admissible_set(b, trace, p)
-            supports = [speed_support(w) for w in sol.structure.waves]
+            supports = [(w.xi_lo, w.xi_hi) for w in sol.structure.waves]
             if not supports:
                 continue
             tol = 1e-12 * max(1.0, p.k)

@@ -15,7 +15,6 @@ from elastowave import (
     sample_many,
     solve_ibvp,
     solve_riemann,
-    speed_support,
 )
 from problems import (
     GOLDEN_CASES,
@@ -61,6 +60,35 @@ def test_two_visible_shocks_trace():
     assert [w.speed for w in sol.visible_waves] == [0.5, 1.5]
     assert sol.trace == State(2.0, 0.0)
     assert sol.structure.middle == State(1.0, -1.0)
+
+
+@pytest.mark.parametrize("z, label, fan", [
+    ((1e-20, -1e-20), CaseLabel.C2A, True),
+    ((1e-20, 1e-20), CaseLabel.C1B, True),
+    ((-1e-20, -1e-20), CaseLabel.C3B, False),
+    ((-1e-20, 1e-20), CaseLabel.C4A, False),
+])
+def test_waves_whose_interval_rounds_to_a_point(z, label, fan):
+    # a fan over [1.0, 1.0] still has two edges, so it is 2a, not 2c;
+    # the two shocks of the same size are the controls
+    b = State(0.0, 0.0)
+    sol = solve_ibvp(b, State(*z), K1)
+    ws = sol.structure
+    (w,) = ws.waves
+    assert isinstance(w, Rarefaction) is fan
+    assert w.xi_lo == w.xi_hi and abs(w.xi_hi) == 1.0
+    assert sol.resolved_case is label
+    xi = [0.0]
+    for v in (-1.0, 1.0):
+        xi += [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+    u, s = sample_many(ws, np.array(xi), K1)
+    for j, x in enumerate(xi):
+        pt = sample(ws, float(x), K1)
+        assert np.array([u[j], s[j]]).tobytes() == np.array([pt.u, pt.sigma]).tobytes(), x
+    trace, at_zero = sol.trace, sample(ws, 0.0, K1)
+    bits = [np.array([v.u, v.sigma]).tobytes() for v in (trace, at_zero)]
+    assert bits[0] == bits[1]
+    assert in_admissible_set(b, trace, K1)
 
 
 # ---------------------------------------------------- golden case formulas
@@ -178,7 +206,7 @@ def test_resolved_case_locates_trace_at_sonic_ties():
     checked = 0
     for b, z, p in problems:
         ws = solve_ibvp(b, z, p).structure
-        for v in {v for w in ws.waves for v in speed_support(w)}:
+        for v in {v for w in ws.waves for v in (w.xi_lo, w.xi_hi)}:
             # the solver's sonic scale, max(k, |u| of the three states),
             # taken after the shift that brings v to zero
             scale = max(p.k, *(abs(s.u - v) for s in (ws.left, ws.middle, ws.right)))
@@ -191,7 +219,7 @@ def test_resolved_case_locates_trace_at_sonic_ties():
                 # a fan that starts below zero clipped to [0, xi_hi]
                 visible = []
                 for w in sol.structure.waves:
-                    lo, hi = speed_support(w)
+                    lo, hi = w.xi_lo, w.xi_hi
                     if hi > 0.0:
                         if lo < 0.0:
                             edge = fan_state(w.left, w.family, 0.0, p)
@@ -222,7 +250,7 @@ def test_restriction_equivalence_bulk():
         b, z, p = random_problem(rng)
         sol = solve_ibvp(b, z, p)
         ws = solve_riemann(b, z, p)
-        hi = max((speed_support(w)[1] for w in ws.waves), default=1.0)
+        hi = max((w.xi_hi for w in ws.waves), default=1.0)
         xi = np.linspace(0.0, abs(hi) * 1.2 + 1.0, 101)
         u_a, s_a = sample_many(ws, xi, p)
         u_b, s_b = sample_many(sol.structure, xi, p)
@@ -295,7 +323,7 @@ def _admissibility_draws(rng):
     for _ in range(300):
         b, z, p = random_problem(rng)
         data = [(b, z)]
-        speeds = [v for w in solve_ibvp(b, z, p).structure.waves for v in speed_support(w)]
+        speeds = [v for w in solve_ibvp(b, z, p).structure.waves for v in (w.xi_lo, w.xi_hi)]
         if speeds:
             offset = (0.0, 1e-15, -1e-15, 1e-13, -1e-13)[rng.integers(5)]
             c = offset * max(1.0, p.k, abs(b.u), abs(z.u)) - speeds[rng.integers(len(speeds))]
@@ -355,7 +383,7 @@ def test_strong_and_weak_attainment():
     for _ in range(1000):
         b, z, p = random_problem(rng)
         sol = solve_ibvp(b, z, p)
-        supports = [speed_support(w) for w in sol.structure.waves]
+        supports = [(w.xi_lo, w.xi_hi) for w in sol.structure.waves]
         if not supports:
             continue
         tol = 1e-12 * max(1.0, p.k)
@@ -400,7 +428,7 @@ def test_admissible_iff_no_positive_speed_waves():
     for _ in range(400):
         b, z, p = random_problem(rng)
         sol = solve_ibvp(b, z, p)
-        tops = [speed_support(w)[1] for w in sol.structure.waves]
+        tops = [w.xi_hi for w in sol.structure.waves]
         top = max(tops, default=0.0)
         if abs(top) < 1e-6 * max(1.0, p.k):
             continue  # too close to the tie to compare conventions

@@ -380,6 +380,27 @@ def test_field_refuses_a_time_or_grid_that_is_not_a_snapshot():
     ViscousField(x=x[:1], u=u[:1], sigma=s[:1], t=1.0)
 
 
+def test_field_stores_its_columns_as_float64_arrays():
+    # built from lists, front_position raised AttributeError on a float's
+    # .item() and l1_distance on a list's .size before the columns were stored
+    # as arrays
+    columns = {"x": [0.0, 1.0, 2.0], "u": [1.0, 0.0, -1.0], "sigma": [0.0] * 3}
+    listed = ViscousField(t=1.0, **columns)
+    arrays = {name: np.array(c) for name, c in columns.items()}
+    field = ViscousField(t=1.0, **arrays)
+    for name in columns:
+        column = getattr(listed, name)
+        assert type(column) is np.ndarray and column.dtype == np.float64
+        assert getattr(field, name) is arrays[name]  # a float64 array is not copied
+    assert front_position(listed, 0.5) == front_position(field, 0.5) == 0.5
+    g = golden_by_label("3a")
+    sol = solve_ibvp(g.boundary, g.initial, K1)
+    assert l1_distance(listed, sol) == l1_distance(field, sol)
+    assert field_csv(listed) == field_csv(field)
+    # an int column is stored as float64 too: its CSV shows 1.0, not 1
+    assert field_csv(ViscousField(x=[1], u=[1], sigma=[1], t=1.0)) == "x,u,sigma\r\n1.0,1.0,1.0\r\n"
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_field_refuses_a_column_that_is_not_finite(bad):
     # front_position interpolated u = [inf, -1] to nan before such fields

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 
 from elastowave import (
@@ -11,7 +13,6 @@ from elastowave import (
     sample,
     sample_many,
     solve_riemann,
-    speed_support,
     waves_ordered,
 )
 from elastowave.verify import lax_check, rh_residual, rh_scale
@@ -213,7 +214,7 @@ def test_sample_many_matches_scalar_sample_bitwise():
     assert np.signbit([problems[-1][0].u, problems[-1][0].sigma]).all()
     for b, z, p in problems:
         ws = solve_riemann(b, z, p)
-        edges = [v for w in ws.waves for v in speed_support(w)]
+        edges = [v for w in ws.waves for v in (w.xi_lo, w.xi_hi)]
         xi = np.concatenate([rng.uniform(-6 * p.k - 6, 6 * p.k + 6, size=41), special, edges])
         u, s = sample_many(ws, xi, p)
         for j, x in enumerate(xi):
@@ -230,11 +231,17 @@ def test_zero_strength_waves_are_absent():
     assert ws.wave1 is None and ws.wave2 is None
 
 
-def test_speed_support():
-    ws = solve_riemann(State(2.0, 0.0), State(0.0, 0.0), P1)
-    assert speed_support(ws.wave1) == (0.5, 0.5)
+def test_every_wave_has_an_xi_interval():
+    # a shock's interval [xi_lo, xi_hi] is its one speed, a fan's spans it
+    shock = solve_riemann(State(2.0, 0.0), State(0.0, 0.0), P1).wave1
+    assert isinstance(shock, Shock)
+    assert (shock.xi_lo, shock.xi_hi) == (0.5, 0.5) == (shock.speed, shock.speed)
     fan = solve_riemann(State(0.0, 0.0), State(2.0, -2.0), P1).wave2
-    assert speed_support(fan) == (1.0, 3.0)
+    assert isinstance(fan, Rarefaction)
+    assert (fan.xi_lo, fan.xi_hi) == (1.0, 3.0)
+    # a shock's interval is read-only and no field: fields and equality are unchanged
+    assert [f.name for f in fields(shock)] == ["family", "left", "right", "speed"]
+    assert all(Shock.__dict__[name].fset is None for name in ("xi_lo", "xi_hi"))
 
 
 def test_sampler_consistency_on_disordered_structures():

@@ -27,19 +27,23 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _dunder_all(tree: ast.Module) -> list[str]:
+    """The entries of the module's ``__all__``, [] if it has none."""
+    return [
+        e.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for e in node.value.elts
+    ]
+
+
 def _used_names(tree: ast.Module) -> set[str]:
     """Names a module reads, and the entries of its ``__all__``.  Quoted
     annotations are not read: under ``from __future__ import annotations``
     none is needed."""
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= {e.value for e in node.value.elts}
-    return used
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | set(_dunder_all(tree))
 
 
 def _imported_names(tree: ast.Module) -> list[str]:
@@ -309,3 +313,40 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert not orphans, (
         f"exports that nothing in src, scripts or perfbench calls outside their module: {orphans}"
     )
+
+
+def _bound_names(tree: ast.Module) -> set[str]:
+    """Names the module binds at its top level: by def, class, assignment
+    or import."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return bound
+
+
+def test_all_names_what_the_module_has():
+    # an __all__ entry left behind by a removed name breaks a star import
+    # only; and the package exports only what its modules list as public
+    home = ROOT / "src" / "elastowave"
+    found = [
+        f"{path.name}: __all__ lists {name!r}, which it neither defines nor imports"
+        for path in PACKAGE
+        for tree in [_tree(path)]
+        for name in _dunder_all(tree)
+        if name not in _bound_names(tree)
+    ]
+    for node in _tree(home / "__init__.py").body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            public = _dunder_all(_tree(home / f"{node.module}.py"))
+            found += [
+                f"__init__.py re-exports {a.name!r}, which is not in {node.module}.__all__"
+                for a in node.names
+                if a.name not in public
+            ]
+    assert not found, found
