@@ -16,7 +16,6 @@ from .curves import (
     RegionLabel,
     classification_scale,
     classify,
-    intermediate_state,
 )
 from .riemann import fan_state, sample, sample_many, solve_riemann
 from .boundary import CaseLabel, QuarterPlaneSolution, solve_ibvp

@@ -167,7 +167,7 @@ def solve_ibvp(boundary: State, initial: State, p: Params) -> QuarterPlaneSoluti
     its case label, boundary trace and visible waves.
     """
     region, dist = classify(boundary, initial, p)
-    ws = _structure(boundary, initial, region, p)
+    ws = _structure(boundary, initial, region, dist[1], p)
     case, resolved, trace, visible = _place_waves(ws, region, p)
     return QuarterPlaneSolution(
         structure=ws,

@@ -277,7 +277,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

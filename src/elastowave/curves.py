@@ -14,10 +14,11 @@ the wave pattern connecting the two:
     Gamma4  (d1 > 0, d2 > 0): 1-rarefaction then 2-shock
 
 where d1 and d2 are the mismatches of the two Riemann invariants between
-query and base.  That correspondence is forced by the intermediate-state
-formula: the velocity step of the 1-wave is d2 / (2k) and the step of the
-2-wave is -d1 / (2k), so each sign pins one wave type.  The property
-tests lock this derivation down.
+query and base.  That correspondence is forced by the intermediate state:
+the velocity step of the 1-wave is d2 / (2k) and the step of the 2-wave is
+-d1 / (2k), so each sign pins one wave type.  The solver builds the middle
+state from that d2 / (2k) step along the base's family-ONE line
+(``riemann._structure``).  The property tests lock this derivation down.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "RegionLabel",
     "classification_scale",
     "classify",
-    "intermediate_state",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -89,15 +89,3 @@ def classify(base: State, query: State, p: Params) -> tuple[RegionLabel, tuple[f
     else:
         label = RegionLabel.GAMMA4 if d2 > 0.0 else RegionLabel.GAMMA3
     return label, dist
-
-
-def intermediate_state(base: State, target: State, p: Params) -> State:
-    """Intersection of the family-ONE line through ``base`` with the
-    family-TWO line through ``target``.
-
-    This is the constant state joining the 1-wave and the 2-wave when
-    ``base`` and ``target`` are the outer data of a two-state problem.
-    """
-    u = (target.sigma - base.sigma) / (2.0 * p.k) + 0.5 * (target.u + base.u)
-    sigma = 0.5 * (target.sigma + base.sigma) + 0.5 * p.k * (target.u - base.u)
-    return State(u=u, sigma=sigma)

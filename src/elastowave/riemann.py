@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Params, Rarefaction, Shock, State, Wave, WaveFamily, WaveStructure
-from .curves import RegionLabel, classify, intermediate_state
+from .curves import RegionLabel, classify
 
 __all__ = [
     "fan_state",
@@ -61,11 +61,16 @@ def solve_riemann(left: State, right: State, p: Params) -> WaveStructure:
     absent and the adjacent constant states collapse, so on-curve data
     yields exactly one wave and coincident data none.
     """
-    return _structure(left, right, classify(left, right, p)[0], p)
+    region, (_, d2) = classify(left, right, p)
+    return _structure(left, right, region, d2, p)
 
 
-def _structure(left: State, right: State, region: RegionLabel, p: Params) -> WaveStructure:
-    """Wave structure joining ``left`` to ``right``, given their region."""
+def _structure(
+    left: State, right: State, region: RegionLabel, d2: float, p: Params
+) -> WaveStructure:
+    """Wave structure joining ``left`` to ``right``, given their region and
+    :func:`classify`'s d2; in a Gamma sector the middle state is the
+    d2 / (2k) step along the family-ONE line through ``left``."""
     if region is RegionLabel.COINCIDENT:
         return WaveStructure(left, None, left, None, right)
     if region in (RegionLabel.ON_R1, RegionLabel.ON_S1):
@@ -76,7 +81,7 @@ def _structure(left: State, right: State, region: RegionLabel, p: Params) -> Wav
         return WaveStructure(
             left, None, left, _elementary(WaveFamily.TWO, left, right, p), right
         )
-    mid = intermediate_state(left, right, p)
+    mid = State(left.u + d2 / (2.0 * p.k), left.sigma + 0.5 * d2)
     return WaveStructure(
         left,
         _elementary(WaveFamily.ONE, left, mid, p),

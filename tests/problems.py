@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable
 
 import numpy as np
@@ -436,6 +437,35 @@ def random_problem(rng: np.random.Generator, region: str | None = None):
     d2 = signs[1] * float(rng.uniform(0.05, 1.8)) * k * k
     z = State(b.u + (d2 - d1) / (2.0 * k), b.sigma + 0.5 * (d1 + d2))
     return b, z, p
+
+
+def small_middle_problem(rng: np.random.Generator, j: int, offset: bool):
+    """(boundary, initial, params) whose middle state is about 10^-j of the
+    initial state: a small trace next to large data.
+
+    k and A are uniform in [0.5, 2] and r in [0, 1).  The boundary state is
+    b = (0, 0), or with ``offset`` b = (+-1e-3 10^-j, 0).  The middle state
+    m lies on the family-ONE line through b at u_m = b.u + r k 10^-j, and
+    z on the family-TWO line through m at u = A.  So the trace is m: the
+    data are 5c-ii, or 8c-ii where u_m > A (j = 0 only), or R2 where the
+    1-wave falls under the on-curve cut.
+    """
+    k, a, r = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0)
+    p = Params(float(k))
+    b = State(float(rng.choice((-1.0, 1.0)) * 1e-3 * 10.0**-j) if offset else 0.0, 0.0)
+    u_m = b.u + float(r * k * 10.0**-j)
+    m = State(u_m, wave_curve_sigma(b, WaveFamily.ONE, u_m, p))
+    return b, State(float(a), wave_curve_sigma(m, WaveFamily.TWO, float(a), p)), p
+
+
+def exact_middle(b: State, z: State, k: float) -> tuple[Fraction, Fraction]:
+    """The exact intersection (u*, sigma*) of the family-ONE line through b
+    with the family-TWO line through z, in rationals of the float data:
+    u* = u_b + ((sigma_z - sigma_b) + k (u_z - u_b)) / (2k) and
+    sigma* = sigma_b + k (u* - u_b).  Independent of the solver."""
+    ub, sb, uz, sz, kk = (Fraction(v) for v in (b.u, b.sigma, z.u, z.sigma, k))
+    u = ub + ((sz - sb) + kk * (uz - ub)) / (2 * kk)
+    return u, sb + kk * (u - ub)
 
 
 # the eps sweep of acceptance criterion 8, largest first

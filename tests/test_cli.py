@@ -7,6 +7,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -199,16 +201,16 @@ _GOLDEN_DIGESTS = {
         "samples.csv": "d75af36ee3cd246ab50ed19badc6a55abb28b3846b6941b9fc77d54d804af4ee",
     }),
     "6a": (0, {
-        "report.json": "d47955ba426cb9f99c590c0c1de63be78cac8069789aaffb09bab8a7eed209f8",
-        "samples.csv": "198b1a071af2e82ebe670855b0ef4aab53512eeab62d0ceb7af1bad34f3c2541",
+        "report.json": "d7349b6428023bef0ceaae0870ca71713933bbb4cd1935b269eb592c3c5be27f",
+        "samples.csv": "406b8270a52aec8db916b8e02663860021b22059ced4b8f6f286241e61489e8a",
     }),
     "7a": (0, {
-        "report.json": "d10ae8a39d2c86db734969c673ac5ded43d4b501df30b6536b0fe465416f936a",
-        "samples.csv": "a3a261c282beb803f7b3abd1998ab2a07fe5e4dbae95118c152fab33b8e3ba6a",
+        "report.json": "a346e5d2921a097f61af74c4385111fc6ae93bed62579a9d70d48078ce484dff",
+        "samples.csv": "eb22a363e4727028f2e6b5a6631efd971d2d4f17cfd93476051412e03291e422",
     }),
     "8a": (0, {
-        "report.json": "7b7cc0ae3b3b8db757fc93e4fd59b74918dfb11beca7c15f0edb093b19c785b2",
-        "samples.csv": "93636b1d8bca8bbd32c3262247496677deb2e195f54143ee204007384eeee4e2",
+        "report.json": "5b9949583fe91f11ca300ec659736247c20a9f533c4361fbc67b7d813f645513",
+        "samples.csv": "ff924ea4963b346900d8c81a889325e0a3c3114b44b46d247cf84cee5da53316",
     }),
     "overlap": (3, {
         "report.json": "e91d576c0d4f9c3842c2fb3fb23d59923a7bd5bd058eff10e58a91b045cbf21b",
@@ -233,6 +235,23 @@ def test_artifact_digests_are_pinned(tmp_path, name):
     assert sorted(written) == sorted(expected), f"{name}: wrote {sorted(written)}"
     changed = [artifact for artifact in expected if written[artifact] != expected[artifact]]
     assert not changed, f"{name}: bytes changed in {', '.join(changed)}"
+
+
+def test_module_entry_writes_what_main_writes(tmp_path):
+    # `python -m elastowave` is the command-line entry besides the console
+    # script; it runs main in a fresh interpreter
+    args = _GOLDEN_RUNS["3a"]
+    code, out = run_cli(tmp_path, "in-process", args)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    entry = tmp_path / "module"
+    done = subprocess.run(
+        [sys.executable, "-m", "elastowave", *args, "--out", str(entry)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (code, done.returncode, done.stderr) == (0, 0, "")
+    assert (entry / "report.json").read_bytes() == (out / "report.json").read_bytes()
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -283,6 +302,11 @@ _PROBLEM_FLAGS = ["--k", "1", "--ub", "0", "--sb", "0", "--u0", "0", "--s0", "0"
             pytest.param([*_PROBLEM_FLAGS, "--config", name], "config", id=f"config-{name}")
             for name in ("missing.json", "directory.json", "latin1.json")
         ],
+        # nor is one that is not JSON, or whose top level is not an object
+        *[
+            pytest.param([*_PROBLEM_FLAGS, "--config", name], "config", id=f"config-{name}")
+            for name in ("truncated.json", "list.json")
+        ],
     ],
 )
 def test_config_errors_exit_2(tmp_path, monkeypatch, capsys, args, field):
@@ -290,11 +314,12 @@ def test_config_errors_exit_2(tmp_path, monkeypatch, capsys, args, field):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "directory.json").mkdir()
     (tmp_path / "latin1.json").write_bytes(b'{"mode": "exact\xe9"}')
+    (tmp_path / "truncated.json").write_text('{"k": 1.0,')
+    (tmp_path / "list.json").write_text("[1.0]")
     code = main([*args, "--out", str(tmp_path / "x")])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert field in err
+    # the line names the field after its prefix, which itself says "config"
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
 
 
 _BASE_CONFIG = {"k": 1.0, "u_b": 1.6, "sigma_b": 0.1, "u_0": 1.0, "sigma_0": -0.5}

@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from elastowave import (
     Shock,
     State,
     WaveFamily,
+    WaveStructure,
     solve_ibvp,
     solve_riemann,
 )
@@ -39,6 +41,16 @@ def test_closed_form_values_have_no_instance_dict():
     ]
     for value in values:
         assert not hasattr(value, "__dict__"), type(value).__name__
+        # frozen: setting a field, or a name that is not a field, raises and
+        # leaves the value as it was (Python 3.11 raises a TypeError that
+        # names nothing for the latter)
+        name = fields(value)[0].name
+        before = getattr(value, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, None)
+        with pytest.raises((AttributeError, TypeError)):
+            value.not_a_field = 0.0
+        assert getattr(value, name) is before and not hasattr(value, "not_a_field")
 
 
 def test_family_sign_is_a_plain_member_attribute():
@@ -227,3 +239,12 @@ def test_degenerate_waves_rejected():
         Shock(WaveFamily.ONE, s, s, 0.5)
     with pytest.raises(ValueError):
         Rarefaction(WaveFamily.ONE, s, State(2.0, 2.0), 1.0, 0.5)
+
+
+def test_structure_rejects_a_wave_in_the_other_slot():
+    # Gamma4: a 1-fan, then a 2-shock; each in the other's slot is refused
+    ws = solve_riemann(State(0.0, 0.0), State(0.0, 2.0), Params(1.0))
+    with pytest.raises(ValueError, match="wave1 must belong to family ONE"):
+        WaveStructure(ws.left, ws.wave2, ws.middle, None, ws.right)
+    with pytest.raises(ValueError, match="wave2 must belong to family TWO"):
+        WaveStructure(ws.left, None, ws.middle, ws.wave1, ws.right)

@@ -9,7 +9,7 @@ from elastowave import (
     WaveFamily,
     classification_scale,
     classify,
-    intermediate_state,
+    solve_riemann,
 )
 from problems import wave_curve_sigma
 
@@ -61,25 +61,25 @@ def test_classify_gamma4_connection_types():
     # Gamma4 must mean: rarefaction of family ONE, then shock of family TWO
     p = Params(1.0)
     base, query = State(0.0, 0.0), State(0.0, 2.0)
-    mid = intermediate_state(base, query, p)
+    mid = solve_riemann(base, query, p).middle
     assert mid.u > base.u  # 1-wave is a rarefaction
     assert query.u < mid.u  # 2-wave is a shock
 
 
 def test_intermediate_state_examples():
     p = Params(1.0)
-    mid = intermediate_state(State(0.0, 0.0), State(0.0, 2.0), p)
+    mid = solve_riemann(State(0.0, 0.0), State(0.0, 2.0), p).middle
     assert (mid.u, mid.sigma) == (1.0, 1.0)
 
     # frozen from the brute-force 2x2 solve: the family-ONE line through
     # (2,0) is sigma = u - 2, the family-TWO line through (0,0) is
     # sigma = -u; they meet at (1, -1)
-    mid = intermediate_state(State(2.0, 0.0), State(0.0, 0.0), p)
+    mid = solve_riemann(State(2.0, 0.0), State(0.0, 0.0), p).middle
     assert (mid.u, mid.sigma) == (1.0, -1.0)
     oracle = brute_force_intersection(State(2.0, 0.0), State(0.0, 0.0), p)
     assert (oracle.u, oracle.sigma) == (1.0, -1.0)
 
-    same = intermediate_state(State(0.7, -0.3), State(0.7, -0.3), p)
+    same = solve_riemann(State(0.7, -0.3), State(0.7, -0.3), p).middle
     assert (same.u, same.sigma) == (0.7, -0.3)
 
 
@@ -90,7 +90,7 @@ def test_intermediate_state_against_brute_force_bulk():
         p = Params(k)
         base = State(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
         target = State(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
-        mid = intermediate_state(base, target, p)
+        mid = solve_riemann(base, target, p).middle
         oracle = brute_force_intersection(base, target, p)
         scale = max(1.0, k * abs(mid.u), abs(mid.sigma))
         assert abs(mid.u - oracle.u) * k <= 1e-12 * scale
@@ -102,7 +102,7 @@ def test_intermediate_state_against_brute_force_bulk():
 def test_intermediate_state_lies_on_both_lines(ub, sb, u0, s0, k):
     p = Params(k)
     base, target = State(ub, sb), State(u0, s0)
-    mid = intermediate_state(base, target, p)
+    mid = solve_riemann(base, target, p).middle
     scale = max(1.0, abs(mid.sigma), abs(sb), abs(s0), k * abs(mid.u))
     r1 = mid.sigma - wave_curve_sigma(base, WaveFamily.ONE, mid.u, p)
     r2 = mid.sigma - wave_curve_sigma(target, WaveFamily.TWO, mid.u, p)

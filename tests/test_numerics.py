@@ -113,6 +113,16 @@ def test_l1_distance_constant_offset():
     assert abs(l1_distance(field, sol) - delta * 2.0) <= 1e-12
 
 
+
+def test_l1_distance_refuses_a_degenerate_grid():
+    # a trapezoid over fewer than two rows is 0 whatever the values: the
+    # far-off one-row and zero-row fields would read as a perfect match
+    sol = solve_ibvp(State(0.0, 0.0), State(0.0, 0.0), K1)
+    for n in (0, 1):
+        field = ViscousField(x=np.zeros(n), u=np.full(n, 5.0), sigma=np.zeros(n), t=1.0)
+        with pytest.raises(ValueError, match="degenerate"):
+            l1_distance(field, sol)
+
 def test_viscous_shock_profile_converges_to_exact():
     g = golden_by_label("3a")
     sol = solve_ibvp(g.boundary, g.initial, K1)

@@ -1,4 +1,5 @@
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 
@@ -8,15 +9,15 @@ from elastowave import (
     Shock,
     State,
     WaveFamily,
+    classification_scale,
     fan_state,
-    intermediate_state,
     sample,
     sample_many,
     solve_riemann,
     waves_ordered,
 )
 from elastowave.verify import lax_check, rh_residual, rh_scale
-from problems import random_problem, wave_curve_sigma
+from problems import exact_middle, random_problem, small_middle_problem, wave_curve_sigma
 
 P1 = Params(1.0)
 
@@ -137,17 +138,26 @@ def test_self_similar_residual_inside_fans():
     assert checked > 50
 
 
-def test_middle_matches_intermediate_state():
+def test_middle_matches_the_exact_intersection():
+    # the middle state of every two-wave structure is within 1e-15 of the
+    # scale of the exact intersection of the float data's two lines, on
+    # bulk draws and on small middle states next to large data
     rng = np.random.default_rng(17)
-    for _ in range(2000):
-        b, z, p = random_problem(rng)
+    draws = [random_problem(rng) for _ in range(6000)]
+    draws += [small_middle_problem(rng, j, offset)
+              for j in (0, 3, 6, 9, 12) for offset in (False, True) for _ in range(400)]
+    checked = 0
+    for b, z, p in draws:
         ws = solve_riemann(b, z, p)
         if ws.wave1 is None or ws.wave2 is None:
             continue
-        mid = intermediate_state(b, z, p)
-        scale = max(1.0, p.k * abs(mid.u), abs(mid.sigma))
-        assert p.k * abs(ws.middle.u - mid.u) <= 1e-12 * scale
-        assert abs(ws.middle.sigma - mid.sigma) <= 1e-12 * scale
+        u, sigma = exact_middle(b, z, p.k)
+        u_scale = max(Fraction(p.k), abs(Fraction(b.u)), abs(Fraction(z.u)), abs(u))
+        assert abs(Fraction(ws.middle.u) - u) <= Fraction(1e-15) * u_scale, (b, z, p.k)
+        sigma_scale = Fraction(classification_scale(b, z, p))
+        assert abs(Fraction(ws.middle.sigma) - sigma) <= Fraction(1e-15) * sigma_scale, (b, z, p.k)
+        checked += 1
+    assert checked > 5000, checked
 
 
 def test_emitted_shocks_satisfy_rh_and_lax():

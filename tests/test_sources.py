@@ -350,3 +350,23 @@ def test_all_names_what_the_module_has():
                 if a.name not in public
             ]
     assert not found, found
+
+
+def _main_guards(tree: ast.Module) -> list[int]:
+    """Lines of top-level ``if __name__ == "__main__"`` blocks."""
+    return [
+        node.lineno
+        for node in tree.body
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and {ast.unparse(node.test.left), *map(ast.unparse, node.test.comparators)}
+        == {"__name__", "'__main__'"}
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_one_entry_path(path):
+    # the package runs as `python -m elastowave` or as the console script;
+    # a module run by its own path would be a third entry
+    found = _main_guards(_tree(path)) if path.name != "__main__.py" else []
+    assert not found, f"{path.name} has an `if __name__ == '__main__'` block on lines {found}"
