@@ -34,8 +34,9 @@ only; when the waves overlap
 over the edges picks the visible waves and the trace, the limit as
 x -> 0+.  A wave is visible exactly when it adds to the count, and a fan
 that starts at a speed < 0 is clipped to its part with speed >= 0.  The
-trace starts left of every wave; from left to right, a wave with no edge
-> 0 moves it to the wave's right state, a clipped fan to its clip state.
+trace starts at ``left``, left of every wave; from left to right, a wave
+with no edge > 0 moves it to the wave's right state, a clipped fan to its
+clip state.
 
 The boundary value is attained only in the weak sense: the trace
 ranges over the set of states reachable from the boundary state by waves
@@ -53,7 +54,7 @@ from enum import Enum
 
 from .core import Params, Rarefaction, State, Wave, WaveStructure
 from .curves import DEFAULT_TOL, RegionLabel, classify
-from .riemann import _left_of_waves, _structure, fan_state
+from .riemann import _structure, fan_state
 
 __all__ = [
     "CaseLabel",
@@ -141,7 +142,7 @@ def _place_waves(
     cut = DEFAULT_TOL * max(p.k, abs(ws.left.u), abs(ws.middle.u), abs(ws.right.u))
     positive = 0  # edges with speed > 0
     sonic = False  # some edge within the cut of zero
-    trace = _left_of_waves(ws)
+    trace = ws.left
     visible: list[Wave] = []
     for w in ws.waves:
         lo, hi = w.xi_lo, w.xi_hi

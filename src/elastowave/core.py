@@ -169,7 +169,7 @@ class Shock:
     speed: float
 
     def __post_init__(self) -> None:
-        _finite("speed", self.speed)
+        object.__setattr__(self, "speed", _finite("speed", self.speed))
         if self.left == self.right:
             raise Refusal("out_of_range", "shock flanks must differ; zero-strength waves are absent")
 
@@ -193,8 +193,8 @@ class Rarefaction:
     xi_hi: float
 
     def __post_init__(self) -> None:
-        _finite("xi_lo", self.xi_lo)
-        _finite("xi_hi", self.xi_hi)
+        object.__setattr__(self, "xi_lo", _finite("xi_lo", self.xi_lo))
+        object.__setattr__(self, "xi_hi", _finite("xi_hi", self.xi_hi))
         if self.xi_lo > self.xi_hi:
             raise ValueError(f"fan interval is empty: [{self.xi_lo}, {self.xi_hi}]")
 
@@ -206,8 +206,10 @@ Wave = Shock | Rarefaction
 class WaveStructure:
     """Self-similar two-wave solution: left / wave1 / middle / wave2 / right.
 
-    Absent waves are ``None`` and the adjacent constant states collapse to
-    equality, so a structure is always a chain left -> middle -> right.
+    Absent waves are ``None`` and join one state: no wave1 needs
+    left == middle and no wave2 needs middle == right, else ValueError.  So
+    a structure is always a chain left -> middle -> right, ``left`` is the
+    value left of every wave, and one with no wave is one constant state.
     """
 
     left: State
@@ -221,6 +223,11 @@ class WaveStructure:
             raise ValueError("wave1 must belong to family ONE")
         if self.wave2 is not None and self.wave2.family is not WaveFamily.TWO:
             raise ValueError("wave2 must belong to family TWO")
+        # identity first: the solver passes one State object for both sides
+        if self.wave1 is None and self.left is not self.middle and self.left != self.middle:
+            raise ValueError("an absent wave1 needs left == middle")
+        if self.wave2 is None and self.middle is not self.right and self.middle != self.right:
+            raise ValueError("an absent wave2 needs middle == right")
 
     @property
     def waves(self) -> tuple[Wave, ...]:

@@ -58,8 +58,8 @@ def solve_riemann(left: State, right: State, p: Params) -> WaveStructure:
     """Solve the two-state problem with ``left`` for x < 0, ``right`` for x > 0.
 
     Waves whose velocity step is below the classification tolerance are
-    absent and the adjacent constant states collapse, so on-curve data
-    yields exactly one wave and coincident data none.
+    absent and join one state, so on-curve data yields exactly one wave
+    and coincident data none: the constant ``right``, the initial state.
     """
     region, (_, d2) = classify(left, right, p)
     return _structure(left, right, region, d2, p)
@@ -72,7 +72,7 @@ def _structure(
     :func:`classify`'s d2; in a Gamma sector the middle state is the
     d2 / (2k) step along the family-ONE line through ``left``."""
     if region is RegionLabel.COINCIDENT:
-        return WaveStructure(left, None, left, None, right)
+        return WaveStructure(right, None, right, None, right)
     if region in (RegionLabel.ON_R1, RegionLabel.ON_S1):
         return WaveStructure(
             left, _elementary(WaveFamily.ONE, left, right, p), right, None, right
@@ -104,17 +104,7 @@ def sample(ws: WaveStructure, xi: float, p: Params) -> State:
                 return right
             if xi > w.xi_lo:
                 return fan_state(w.left, w.family, xi, p)
-    return _left_of_waves(ws)
-
-
-def _left_of_waves(ws: WaveStructure) -> State:
-    """The value left of every wave; with no waves at all (constant data)
-    the right-continuous pick, ``ws.right``."""
-    if ws.wave1 is not None:
-        return ws.left
-    if ws.wave2 is not None:
-        return ws.middle
-    return ws.right
+    return ws.left
 
 
 def sample_many(
@@ -122,18 +112,18 @@ def sample_many(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`sample` over an array of xi values.
 
-    Every point starts at the value :func:`sample` gives when none of its
+    Every point starts at ``ws.left``, the value left of every wave (absent
+    waves join one state), which :func:`sample` also gives when none of its
     tests holds (a nan among them).  The waves are then walked from left
     to right, each writing its fan on (xi_lo, xi_hi) and its right state
     on xi >= xi_hi; a later write overwrites an earlier one, which is the
     order in which :func:`sample` tests.
     """
     xi = np.asarray(xi, dtype=float)
-    first = _left_of_waves(ws)
     u = np.empty(xi.shape)
     s = np.empty(xi.shape)
-    u.fill(first.u)
-    s.fill(first.sigma)
+    u.fill(ws.left.u)
+    s.fill(ws.left.sigma)
 
     for wave, right in ((ws.wave1, ws.middle), (ws.wave2, ws.right)):
         if wave is None:

@@ -1,6 +1,7 @@
 """Shared fixtures: hand-built golden cases, random problem samplers and
 test tools (wave-curve line, Riemann invariants, the closed form for
-on-curve data, a perturbed structure, a brute-force admissible-set scan).
+on-curve data, the exact solution in rationals, a perturbed structure, a
+brute-force admissible-set scan).
 
 Every golden case carries an independent piecewise evaluator written out
 with literal constants (worked by hand from the wave-curve relations and
@@ -14,7 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 import pytest
@@ -458,14 +459,90 @@ def small_middle_problem(rng: np.random.Generator, j: int, offset: bool):
     return b, State(float(a), wave_curve_sigma(m, WaveFamily.TWO, float(a), p)), p
 
 
-def exact_middle(b: State, z: State, k: float) -> tuple[Fraction, Fraction]:
-    """The exact intersection (u*, sigma*) of the family-ONE line through b
-    with the family-TWO line through z, in rationals of the float data:
-    u* = u_b + ((sigma_z - sigma_b) + k (u_z - u_b)) / (2k) and
-    sigma* = sigma_b + k (u* - u_b).  Independent of the solver."""
-    ub, sb, uz, sz, kk = (Fraction(v) for v in (b.u, b.sigma, z.u, z.sigma, k))
-    u = ub + ((sz - sb) + kk * (uz - ub)) / (2 * kk)
-    return u, sb + kk * (u - ub)
+# the sub-cases of each region by the number of wave edges with speed > 0,
+# as the boundary module's table lists them
+EXACT_SUBCASES = {
+    "coincident": ("constant",),
+    "R1": ("1b", "1c", "1a"),
+    "R2": ("2b", "2c", "2a"),
+    "S1": ("3b", "3a"),
+    "S2": ("4b", "4a"),
+    "Gamma1": ("5b", "5c-iii", "5c-ii", "5c-i", "5a"),
+    "Gamma2": ("6b", "6c-ii", "6c-i", "6a"),
+    "Gamma3": ("7b", "7c", "7a"),
+    "Gamma4": ("8b", "8c-ii", "8c-i", "8a"),
+}
+
+
+class ExactWave(NamedTuple):
+    family: int  # 1 or 2
+    kind: str  # "shock" or "fan"
+    lo: Fraction  # edge speeds; a shock's two are its one speed
+    hi: Fraction
+
+
+class ExactSolution(NamedTuple):
+    d1: Fraction
+    d2: Fraction
+    region: str  # a RegionLabel value
+    middle: tuple[Fraction, Fraction]
+    waves: tuple[ExactWave, ...]
+    positive: int  # wave edges with speed > 0
+    case: str  # the sub-case, a CaseLabel value
+    trace: tuple[Fraction, Fraction]
+
+
+def exact_solution(b: tuple[float, float], z: tuple[float, float], k: float) -> ExactSolution:
+    """The quarter-plane solution of boundary state b = (u, sigma) and
+    initial state z in rationals of the float data, from the wave-curve
+    relations alone: speeds u -+ k have no square roots, so every quantity
+    is a rational function of (u_b, sigma_b, u_z, sigma_z, k).
+
+    Data are on a wave curve when the exact |d| is within the float cut
+    DEFAULT_TOL * max(|sigma_b|, |sigma_z|, k |u_b|, k |u_z|), compared
+    exactly; the other wave is then absent and the one wave joins b to z.
+    Otherwise the middle state is the exact intersection of the family-ONE
+    line through b with the family-TWO line through z.  The trace starts at
+    b (z for coincident data) and walks the waves from left to right: a
+    wave with no edge > 0 moves it to the wave's right state, a fan that
+    starts below zero to its state at xi = 0.  Calls nothing in src/."""
+    ub, sb, uz, sz, kk = (Fraction(v) for v in (*b, *z, k))
+    du, ds = uz - ub, sz - sb
+    d1, d2 = ds - kk * du, ds + kk * du
+    cut = Fraction(DEFAULT_TOL * max(abs(b[1]), abs(z[1]), k * abs(b[0]), k * abs(z[0])))
+    on1, on2 = abs(d1) <= cut, abs(d2) <= cut
+    bs, zs = (ub, sb), (uz, sz)
+
+    def wave(family: int, a: tuple[Fraction, Fraction], c: tuple[Fraction, Fraction]):
+        offset = kk if family == 2 else -kk
+        if c[0] > a[0]:
+            return ExactWave(family, "fan", a[0] + offset, c[0] + offset), a, c
+        speed = (a[0] + c[0]) / 2 + offset
+        return ExactWave(family, "shock", speed, speed), a, c
+
+    if on1 and on2 and kk * abs(du) <= cut:
+        region, middle, chain = "coincident", zs, []
+    elif on1:
+        region, middle, chain = ("R1" if du > 0 else "S1"), zs, [wave(1, bs, zs)]
+    elif on2:
+        region, middle, chain = ("R2" if du > 0 else "S2"), bs, [wave(2, bs, zs)]
+    else:
+        region = {(True, True): "Gamma2", (True, False): "Gamma1",
+                  (False, True): "Gamma3", (False, False): "Gamma4"}[(d1 < 0, d2 < 0)]
+        middle = (ub + d2 / (2 * kk), sb + d2 / 2)
+        chain = [wave(1, bs, middle), wave(2, middle, zs)]
+    trace = zs if region == "coincident" else bs
+    positive = 0
+    for w, left, right in chain:
+        edges = (w.lo > 0) + (w.hi > 0) if w.kind == "fan" else int(w.hi > 0)
+        positive += edges
+        if not edges:
+            trace = right
+        elif w.lo < 0:  # a clipped fan, where u - offset = 0
+            u = slope = kk if w.family == 1 else -kk
+            trace = (u, left[1] + slope * (u - left[0]))
+    return ExactSolution(d1, d2, region, middle, tuple(w for w, _, _ in chain), positive,
+                         EXACT_SUBCASES[region][positive], trace)
 
 
 # the eps sweep of acceptance criterion 8, largest first

@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import sys
 from dataclasses import FrozenInstanceError, fields
@@ -215,6 +216,12 @@ def test_real_numbers_are_stored_as_float():
     p = Params(np.int64(3))
     assert (type(s.u), type(s.sigma), type(p.k)) == (float, float, float)
     assert (s, p) == (State(0.5, 2.0), Params(3.0))
+    # so are the speeds of a wave, which json.dumps then takes
+    shock = Shock(WaveFamily.ONE, State(1, 0), State(0, -1), np.float32(-0.5))
+    fan = Rarefaction(WaveFamily.ONE, State(0, 0), State(1, 1), 1, np.float32(2))
+    speeds = [shock.speed, fan.xi_lo, fan.xi_hi]
+    assert [type(v) for v in speeds] == [float] * 3
+    assert json.dumps(speeds) == "[-0.5, 1.0, 2.0]"
 
 
 @pytest.mark.parametrize("k", [0.0, -1.0])
@@ -248,3 +255,17 @@ def test_structure_rejects_a_wave_in_the_other_slot():
         WaveStructure(ws.left, ws.wave2, ws.middle, None, ws.right)
     with pytest.raises(ValueError, match="wave2 must belong to family TWO"):
         WaveStructure(ws.left, None, ws.middle, ws.wave1, ws.right)
+
+
+def test_structure_refuses_an_absent_wave_between_unequal_states():
+    a, b = State(0.0, 0.0), State(1.0, -1.0)
+    with pytest.raises(ValueError, match="an absent wave1 needs left == middle"):
+        WaveStructure(b, None, a, None, a)
+    with pytest.raises(ValueError, match="an absent wave2 needs middle == right"):
+        WaveStructure(a, None, a, None, b)
+    # equal values join too, though they are two objects
+    assert WaveStructure(a, None, State(-0.0, 0.0), None, State(0.0, -0.0)).waves == ()
+    # coincident data is the constant initial state, one object throughout
+    z = State(1.0 + 1e-14, -1.0)
+    ws = solve_riemann(b, z, Params(1.0))
+    assert ws.waves == () and ws.left is ws.middle is ws.right is z

@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -488,6 +489,19 @@ def test_overflowed_sigma_is_refused():
     with pytest.raises(Refusal, match="sigma is not finite at t=1e-160") as info:
         viscous_solve(State(1e152, 0.0), State(0.0, 0.0), Params(1e150), cfg)
     assert info.value.reason == "out_of_range"
+
+
+@pytest.mark.xfail(strict=True, raises=Refusal, reason=(
+    "the step forms k^2 u_x, which overflows, before it multiplies by dt"))
+def test_one_step_of_sigma_that_float64_holds_is_kept():
+    # the data of the test above: its one step gives sigma[1] =
+    # dt k^2 (u[2] - u[0]) / (2 dx), about -7.5e292, inside float64
+    cfg = ViscousConfig(epsilon=0.005, x_min=0.0, x_max=1.0, nx=16, t_end=1e-160)
+    field = viscous_solve(State(1e152, 0.0), State(0.0, 0.0), Params(1e150), cfg)
+    x = np.linspace(cfg.x_min, cfg.x_max, cfg.nx)
+    exact = (Fraction(cfg.t_end) * Fraction(1e150) ** 2 * (0 - Fraction(1e152))
+             / (2 * Fraction(float(x[1] - x[0]))))
+    assert abs(Fraction(float(field.sigma[1])) - exact) <= Fraction(1e-12) * abs(exact)
 
 
 class _NumpyWithoutSteps:

@@ -17,7 +17,7 @@ from elastowave import (
     waves_ordered,
 )
 from elastowave.verify import lax_check, rh_residual, rh_scale
-from problems import exact_middle, random_problem, small_middle_problem, wave_curve_sigma
+from problems import exact_solution, random_problem, small_middle_problem, wave_curve_sigma
 
 P1 = Params(1.0)
 
@@ -151,7 +151,7 @@ def test_middle_matches_the_exact_intersection():
         ws = solve_riemann(b, z, p)
         if ws.wave1 is None or ws.wave2 is None:
             continue
-        u, sigma = exact_middle(b, z, p.k)
+        u, sigma = exact_solution((b.u, b.sigma), (z.u, z.sigma), p.k).middle
         u_scale = max(Fraction(p.k), abs(Fraction(b.u)), abs(Fraction(z.u)), abs(u))
         assert abs(Fraction(ws.middle.u) - u) <= Fraction(1e-15) * u_scale, (b, z, p.k)
         sigma_scale = Fraction(classification_scale(b, z, p))
