@@ -7,17 +7,19 @@ Usage:
                                    [--workload NAME ...] [--pairs 10]
                                    [--seconds 30] [--seed 1]
 
-Each pair runs ``perfbench/run.py --trace 0`` once per side, for each
-workload, on seed ``--seed + pair``; with ``--parent`` the two checkouts
-alternate, and so does which of them runs first.  The file holds the
-machine, both commits, each side's ``src_sha256`` (a sha256 over the sorted
-relative paths and bytes of ``src/**/*.py``, which names what ran even when
-it is not committed), and for each workload and end-to-end metric of
-BENCHMARK.json every run, each side's median and quartiles and, with a
-parent, the number of pairs the change won (ties count for neither) and the
-verdict: the move of the change's median, whether it is within the metric's
+Each pair runs ``perfbench/run.py --trace 0`` and then ``perfbench/run.py
+--setup-only`` once per side, for each workload, on seed ``--seed + pair``;
+with ``--parent`` the two checkouts alternate, and so does which of them
+runs first.  The file holds the machine, both commits, each side's
+``src_sha256`` (a sha256 over the sorted relative paths and bytes of
+``src/**/*.py``, which names what ran even when it is not committed), and
+for each workload and end-to-end metric of BENCHMARK.json every run, each
+side's median and quartiles and, with a parent, the number of pairs the
+change won (ties count for neither) and the verdict: the move of the change's median, whether it is within the metric's
 bound, whether a gain is resolved, and whether the metric is unresolved.
-Standard library only.
+Under ``setup_only_s`` each workload holds the set-up times of the
+``--setup-only`` runs, each side's median and quartiles and, with a parent,
+the number of pairs the change won.  Standard library only.
 """
 
 import argparse
@@ -31,15 +33,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run: its meta line and its result line."""
+def perfbench(checkout: Path, workload: str, seed: int, flags: list[str], timeout: float) -> list:
+    """The output lines of one perfbench run of ``workload`` on ``seed``."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          timeout=10 * seconds + 600)
+           "--seed", str(seed), *flags]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=timeout)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr[-500:]}")
-    lines = proc.stdout.strip().splitlines()
+    return proc.stdout.strip().splitlines()
+
+
+def setup_only(checkout: Path, workload: str, seed: int) -> float:
+    """The set-up time that one ``--setup-only`` perfbench run prints."""
+    return float(perfbench(checkout, workload, seed, ["--setup-only"], 600)[-1])
+
+
+def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run: its meta line and its result line."""
+    lines = perfbench(checkout, workload, seed, ["--seconds", str(seconds), "--trace", "0"],
+                      10 * seconds + 600)
     meta = next(json.loads(line[5:]) for line in lines if line.startswith("meta "))
     result = json.loads(lines[-1])
     return {
@@ -102,6 +114,7 @@ def record(args, spec: dict) -> dict:
     sides = {"change": ROOT} if args.parent is None else {"parent": args.parent, "change": ROOT}
     hashes = {side: src_sha256(path) for side, path in sides.items()}
     runs = {w: {side: [] for side in sides} for w in args.workload}
+    setups = {w: {side: [] for side in sides} for w in args.workload}
     for pair in range(args.pairs):
         seed = args.seed + pair
         order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
@@ -113,6 +126,10 @@ def record(args, spec: dict) -> dict:
                 print(f"pair {pair} {workload} {side}: "
                       + ", ".join(f"{k} {v:.4g}" for k, v in run["metrics"].items()),
                       file=sys.stderr)
+            for side in order:
+                setups[workload][side].append(setup_only(sides[side], workload, seed))
+                print(f"pair {pair} {workload} {side}: setup_only_s "
+                      f"{setups[workload][side][-1]:.4g}", file=sys.stderr)
     first = {side: runs[args.workload[0]][side][0]["meta"] for side in sides}
     out = {
         "schema": 1,
@@ -134,7 +151,11 @@ def record(args, spec: dict) -> dict:
                 entry["change_wins"] = change_wins(values["parent"], values["change"], m["better"])
                 entry.update(verdict(entry, args.pairs))
             metrics[m["name"]] = entry
-        out["workloads"][workload] = {"runs": by_side, "metrics": metrics}
+        setup = {side: {"runs": v, **summary(v)} for side, v in setups[workload].items()}
+        if "parent" in sides:
+            setup["change_wins"] = change_wins(setup["parent"]["runs"], setup["change"]["runs"],
+                                               "lower")
+        out["workloads"][workload] = {"runs": by_side, "metrics": metrics, "setup_only_s": setup}
     return out
 
 

@@ -53,8 +53,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import Params, Rarefaction, State, Wave, WaveStructure
-from .curves import DEFAULT_TOL, RegionLabel, classify
-from .riemann import _structure, fan_state
+from .curves import DEFAULT_TOL, RegionLabel
+from .riemann import _solve, fan_state
 
 __all__ = [
     "CaseLabel",
@@ -167,8 +167,7 @@ def solve_ibvp(boundary: State, initial: State, p: Params) -> QuarterPlaneSoluti
     The restriction of the two-state solution to x >= 0, together with
     its case label, boundary trace and visible waves.
     """
-    region, dist = classify(boundary, initial, p)
-    ws = _structure(boundary, initial, region, dist[1], p)
+    region, dist, ws = _solve(boundary, initial, p)
     case, resolved, trace, visible = _place_waves(ws, region, p)
     return QuarterPlaneSolution(
         structure=ws,

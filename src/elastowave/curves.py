@@ -18,7 +18,7 @@ query and base.  That correspondence is forced by the intermediate state:
 the velocity step of the 1-wave is d2 / (2k) and the step of the 2-wave is
 -d1 / (2k), so each sign pins one wave type.  The solver builds the middle
 state from that d2 / (2k) step along the base's family-ONE line
-(``riemann._structure``).  The property tests lock this derivation down.
+(``riemann._solve``).  The property tests lock this derivation down.
 """
 
 from __future__ import annotations
@@ -67,7 +67,9 @@ def classify(base: State, query: State, p: Params) -> tuple[RegionLabel, tuple[f
     d1 = (sigma_q - k u_q) - (sigma_b - k u_b) vanishes exactly on the
     family-ONE line, d2 = (sigma_q + k u_q) - (sigma_b + k u_b) on the
     family-TWO line.  On-curve detection wins over sector labels, and a
-    query matching the base itself is COINCIDENT.  The tolerance is
+    query on both lines is COINCIDENT.  Then k |du| is within the tolerance
+    too: of ds - y and ds + y, with y the rounded k du, one is at least |y|
+    in size, and rounding to d1 or d2 keeps it so.  The tolerance is
     DEFAULT_TOL relative to :func:`classification_scale`.
     """
     du = query.u - base.u
@@ -78,7 +80,7 @@ def classify(base: State, query: State, p: Params) -> tuple[RegionLabel, tuple[f
     cut = DEFAULT_TOL * classification_scale(base, query, p)
     on1 = abs(d1) <= cut
     on2 = abs(d2) <= cut
-    if on1 and on2 and p.k * abs(du) <= cut:
+    if on1 and on2:
         return RegionLabel.COINCIDENT, dist
     if on1:
         return (RegionLabel.ON_R1 if du > 0.0 else RegionLabel.ON_S1), dist

@@ -203,7 +203,8 @@ def viscous_solve(
         if not umax <= bound:  # a NaN fails this too
             raise Refusal("viscous_diverged", (
                 f"viscous run diverged at t={t:.6g} (max |u| = {umax:.3g} > {bound:.3g}); "
-                "the step rule needs a smaller cfl for this data"
+                "cell Peclet number (max |u| + k) dx / (2 eps) = "
+                f"{(umax + p.k) * dx / (2.0 * eps):.3g}"
             ))
         if t >= cfg.t_end:
             return ViscousField(x=x, u=u, sigma=sigma, t=cfg.t_end)

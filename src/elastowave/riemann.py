@@ -55,40 +55,37 @@ def _elementary(family: WaveFamily, a: State, b: State, p: Params) -> Wave:
 
 
 def solve_riemann(left: State, right: State, p: Params) -> WaveStructure:
-    """Solve the two-state problem with ``left`` for x < 0, ``right`` for x > 0.
+    """Solve the two-state problem with ``left`` for x < 0, ``right`` for x > 0:
+    the structure of :func:`_solve`, with one wave for data on a curve and
+    none for coincident data, the constant ``right``, the initial state."""
+    return _solve(left, right, p)[2]
 
-    Waves whose velocity step is below the classification tolerance are
-    absent and join one state, so on-curve data yields exactly one wave
-    and coincident data none: the constant ``right``, the initial state.
+
+def _solve(
+    left: State, right: State, p: Params
+) -> tuple[RegionLabel, tuple[float, float], WaveStructure]:
+    """Region, :func:`classify`'s (d1, d2) and the wave structure joining
+    ``left`` to ``right``.
+
+    The region picks the middle state: ``right`` on a 1-curve, ``left`` on a
+    2-curve, and in a Gamma sector the d2 / (2k) step along the family-ONE
+    line through ``left``; coincident data is the one state ``right``.  The
+    1-wave joins ``left`` to the middle state and the 2-wave the middle
+    state to ``right``, each built only where the two states differ.
     """
-    region, (_, d2) = classify(left, right, p)
-    return _structure(left, right, region, d2, p)
-
-
-def _structure(
-    left: State, right: State, region: RegionLabel, d2: float, p: Params
-) -> WaveStructure:
-    """Wave structure joining ``left`` to ``right``, given their region and
-    :func:`classify`'s d2; in a Gamma sector the middle state is the
-    d2 / (2k) step along the family-ONE line through ``left``."""
+    region, dist = classify(left, right, p)
     if region is RegionLabel.COINCIDENT:
-        return WaveStructure(right, None, right, None, right)
-    if region in (RegionLabel.ON_R1, RegionLabel.ON_S1):
-        return WaveStructure(
-            left, _elementary(WaveFamily.ONE, left, right, p), right, None, right
-        )
-    if region in (RegionLabel.ON_R2, RegionLabel.ON_S2):
-        return WaveStructure(
-            left, None, left, _elementary(WaveFamily.TWO, left, right, p), right
-        )
-    mid = State(left.u + d2 / (2.0 * p.k), left.sigma + 0.5 * d2)
-    return WaveStructure(
-        left,
-        _elementary(WaveFamily.ONE, left, mid, p),
-        mid,
-        _elementary(WaveFamily.TWO, mid, right, p),
-        right,
-    )
+        left = mid = right
+    elif region in (RegionLabel.ON_R1, RegionLabel.ON_S1):
+        mid = right
+    elif region in (RegionLabel.ON_R2, RegionLabel.ON_S2):
+        mid = left
+    else:
+        d2 = dist[1]
+        mid = State(left.u + d2 / (2.0 * p.k), left.sigma + 0.5 * d2)
+    wave1 = None if mid is left else _elementary(WaveFamily.ONE, left, mid, p)
+    wave2 = None if mid is right else _elementary(WaveFamily.TWO, mid, right, p)
+    return region, dist, WaveStructure(left, wave1, mid, wave2, right)
 
 
 def sample(ws: WaveStructure, xi: float, p: Params) -> State:

@@ -585,8 +585,8 @@ def test_underflowing_shock_flank_exits_3(tmp_path, capsys):
 
 
 def test_overflowed_viscous_sigma_exits_3(tmp_path, capsys):
-    # one viscous step of k^2 u_x at k = 1e150 takes sigma past float64; the
-    # field that would hold the run refuses it
+    # at k = 1e150 a viscous step's intermediate k^2 u_x overflows before the
+    # multiply by dt; the field that would hold the run refuses it
     code, out = run_cli(tmp_path, "sigma", [
         "--k", "1e150", "--ub", "1e152", "--sb", "0", "--u0", "0", "--s0", "0", "--t", "1e-160",
         "--xmax", "1", "--nx", "4", "--mode", "exact+viscous",

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastowave import (
+    DEFAULT_TOL,
     Params,
     RegionLabel,
     State,
@@ -162,3 +163,31 @@ def test_exactly_one_gamma_for_off_curve_pairs():
         assert label in gammas
         seen.add(label)
     assert seen == gammas
+
+
+def test_coincident_exactly_when_both_distances_are_within_the_cut():
+    # d1 and d2 drawn at and near the cut of the base state's scale: the label
+    # is COINCIDENT exactly when both returned distances are within the cut,
+    # and k |du| then is too, so classify needs no test of du of its own
+    rng = np.random.default_rng(8)
+    n = 60000
+    k = 10.0 ** rng.uniform(-1.0, 1.0, n)
+    base = rng.uniform(-8.0, 8.0, (n, 2))
+    near = rng.uniform(0.99, 1.0, (n, 2))
+    fixed = rng.choice([0.0, 0.5, 1.01, 2.0], (n, 2))
+    factor = np.where(rng.random((n, 2)) < 0.5, near, fixed) * rng.choice([-1.0, 1.0], (n, 2))
+    coincident = 0
+    for j in range(n):
+        p = Params(float(k[j]))
+        b = State(float(base[j, 0]), float(base[j, 1]))
+        scale = DEFAULT_TOL * max(abs(b.sigma), p.k * abs(b.u))
+        d1, d2 = float(factor[j, 0]) * scale, float(factor[j, 1]) * scale
+        z = State(b.u + (d2 - d1) / (2.0 * p.k), b.sigma + 0.5 * (d1 + d2))
+        label, (e1, e2) = classify(b, z, p)
+        cut = DEFAULT_TOL * classification_scale(b, z, p)
+        both = abs(e1) <= cut and abs(e2) <= cut
+        assert (label is RegionLabel.COINCIDENT) == both, (b, z, p)
+        if both:
+            assert p.k * abs(z.u - b.u) <= cut, (b, z, p)
+            coincident += 1
+    assert n // 4 < coincident < 3 * n // 4

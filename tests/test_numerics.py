@@ -436,6 +436,25 @@ def test_diverging_run_is_refused():
     assert info.value.reason == "viscous_diverged"
 
 
+def test_divergence_names_the_cell_peclet_number():
+    # b = (0, 10), z = (0, 0) at eps = 0.005 on 404 cells diverges at t = 0.10
+    # at cfl 0.4 and 0.1 alike (eps = 0.01 runs): the detail gives the cell
+    # Peclet number (max|u| + k) dx / (2 eps) at the failing step and no cfl
+    # advice; on the 8a run above the number is 386
+    runs = [((State(0.0, 10.0), State(0.0, 0.0)), 0.005, 0.0, 2.0, 404, 0.5, 5.5)
+            for _ in range(2)]
+    runs.append(((State(1.3, -0.2), State(0.9, 1.0)), 1e-4, -1.0, 2.2, 1000, 0.05, 386.0))
+    for cfl, ((b, z), eps, x_min, x_max, nx, t_end, peclet) in zip((0.4, 0.1, 0.4), runs):
+        cfg = ViscousConfig(epsilon=eps, x_min=x_min, x_max=x_max, nx=nx, t_end=t_end, cfl=cfl)
+        with pytest.raises(Refusal, match="^viscous run diverged at t=") as info:
+            viscous_solve(b, z, K1, cfg)
+        detail = str(info.value)
+        assert "cfl" not in detail
+        found = re.search(r"; cell Peclet number \(max \|u\| \+ k\) dx / \(2 eps\) = (\S+)$",
+                          detail)
+        assert found and float(found[1]) == pytest.approx(peclet, rel=0.02), detail
+
+
 def _scaled(label: str, eps: float, t_end: float, nx: int, x_max: float, m: int):
     """A gallery case's viscous run under (u, sigma, k, eps, t) ->
     (a u, a^2 sigma, a k, a eps, t / a), a = 2^m, which maps solutions of
@@ -483,8 +502,9 @@ def test_collapsed_step_is_refused():
 
 
 def test_overflowed_sigma_is_refused():
-    # one step of k^2 u_x at k = 1e150 takes sigma past float64; max|u| stays
-    # inside its bound
+    # at k = 1e150 the step's intermediate k^2 u_x overflows before the
+    # multiply by dt, though the step itself would fit in float64 (the strict
+    # xfail below); max|u| stays inside its bound
     cfg = ViscousConfig(epsilon=0.005, x_min=0.0, x_max=1.0, nx=16, t_end=1e-160)
     with pytest.raises(Refusal, match="sigma is not finite at t=1e-160") as info:
         viscous_solve(State(1e152, 0.0), State(0.0, 0.0), Params(1e150), cfg)

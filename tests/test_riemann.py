@@ -13,6 +13,7 @@ from elastowave import (
     fan_state,
     sample,
     sample_many,
+    solve_ibvp,
     solve_riemann,
     waves_ordered,
 )
@@ -209,6 +210,26 @@ def test_on_curve_data_yields_single_wave():
                 assert ws.middle == ws.right
             else:
                 assert ws.middle == ws.left
+
+
+def test_the_region_picks_the_middle_state():
+    # a wave is built only between two different states: the middle state is
+    # the right one on a 1-curve, the left one on a 2-curve, a third object
+    # in a Gamma sector; the quarter-plane solver keeps the same structure
+    rng = np.random.default_rng(41)
+    for region in ("R1", "S1", "R2", "S2", "Gamma1", "Gamma2", "Gamma3", "Gamma4"):
+        b, z, p = random_problem(rng, region)
+        sol = solve_ibvp(b, z, p)
+        ws = sol.structure
+        assert sol.region.value == region and repr(ws) == repr(solve_riemann(b, z, p))
+        assert ws.left is b and ws.right is z
+        if region in ("R1", "S1"):
+            assert ws.middle is ws.right and ws.wave2 is None and ws.wave1 is not None
+        elif region in ("R2", "S2"):
+            assert ws.middle is ws.left and ws.wave1 is None and ws.wave2 is not None
+        else:
+            assert ws.wave1 is not None and ws.wave2 is not None
+            assert ws.middle is not ws.left and ws.middle is not ws.right
 
 
 def test_sample_many_matches_scalar_sample_bitwise():

@@ -81,3 +81,10 @@ def test_bench_record_writes_both_sides(tmp_path):
         assert isinstance(metric["within_bound"], bool)
         assert isinstance(metric["gain_resolved"], bool)
         assert isinstance(metric["unresolved"], bool)
+    # the --setup-only runs, one per side and pair, with the same summary
+    setup = workload["setup_only_s"]
+    for side in ("parent", "change"):
+        (value,) = setup[side]["runs"]
+        assert value > 0.0
+        assert setup[side]["q1"] == setup[side]["median"] == setup[side]["q3"] == value
+    assert setup["change_wins"] in (0, 1)
