@@ -15,8 +15,9 @@ runs first.  The file holds the machine, both commits, each side's
 ``src/**/*.py``, which names what ran even when it is not committed), and
 for each workload and end-to-end metric of BENCHMARK.json every run, each
 side's median and quartiles and, with a parent, the number of pairs the
-change won (ties count for neither) and the verdict: the move of the change's median, whether it is within the metric's
-bound, whether a gain is resolved, and whether the metric is unresolved.
+change won (ties count for neither) and the verdict: the move of the
+change's median, whether it is within the metric's bound, whether a gain
+is resolved, and whether the metric is unresolved.
 Under ``setup_only_s`` each workload holds the set-up times of the
 ``--setup-only`` runs, each side's median and quartiles and, with a parent,
 the number of pairs the change won.  Standard library only.
@@ -33,7 +34,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def perfbench(checkout: Path, workload: str, seed: int, flags: list[str], timeout: float) -> list:
+def perfbench(
+    checkout: Path, workload: str, seed: int, flags: list[str], timeout: float
+) -> list[str]:
     """The output lines of one perfbench run of ``workload`` on ``seed``."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), *flags]

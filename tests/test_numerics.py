@@ -436,23 +436,27 @@ def test_diverging_run_is_refused():
     assert info.value.reason == "viscous_diverged"
 
 
-def test_divergence_names_the_cell_peclet_number():
+_FOUND_DATA = (State(0.0, 10.0), State(0.0, 0.0))
+
+
+@pytest.mark.parametrize("data, cfg, peclet", [
+    (_FOUND_DATA, ViscousConfig(epsilon=0.005, x_min=0.0, x_max=2.0, nx=404, t_end=0.5), 5.52),
+    (_FOUND_DATA,
+     ViscousConfig(epsilon=0.005, x_min=0.0, x_max=2.0, nx=404, t_end=0.5, cfl=0.1), 5.49),
+    ((State(1.3, -0.2), State(0.9, 1.0)),
+     ViscousConfig(epsilon=1e-4, x_min=-1.0, x_max=2.2, nx=1000, t_end=0.05), 386.0),
+], ids=["found", "found-cfl-0.1", "8a"])
+def test_divergence_names_the_cell_peclet_number(data, cfg, peclet):
     # b = (0, 10), z = (0, 0) at eps = 0.005 on 404 cells diverges at t = 0.10
-    # at cfl 0.4 and 0.1 alike (eps = 0.01 runs): the detail gives the cell
-    # Peclet number (max|u| + k) dx / (2 eps) at the failing step and no cfl
-    # advice; on the 8a run above the number is 386
-    runs = [((State(0.0, 10.0), State(0.0, 0.0)), 0.005, 0.0, 2.0, 404, 0.5, 5.5)
-            for _ in range(2)]
-    runs.append(((State(1.3, -0.2), State(0.9, 1.0)), 1e-4, -1.0, 2.2, 1000, 0.05, 386.0))
-    for cfl, ((b, z), eps, x_min, x_max, nx, t_end, peclet) in zip((0.4, 0.1, 0.4), runs):
-        cfg = ViscousConfig(epsilon=eps, x_min=x_min, x_max=x_max, nx=nx, t_end=t_end, cfl=cfl)
-        with pytest.raises(Refusal, match="^viscous run diverged at t=") as info:
-            viscous_solve(b, z, K1, cfg)
-        detail = str(info.value)
-        assert "cfl" not in detail
-        found = re.search(r"; cell Peclet number \(max \|u\| \+ k\) dx / \(2 eps\) = (\S+)$",
-                          detail)
-        assert found and float(found[1]) == pytest.approx(peclet, rel=0.02), detail
+    # at cfl 0.4 and 0.1 alike (eps = 0.01 runs), so the detail gives no cfl
+    # advice; it names the cell Peclet number (max|u| + k) dx / (2 eps) at the
+    # failing step, which is 386 on the 8a run above
+    with pytest.raises(Refusal, match="^viscous run diverged at t=") as info:
+        viscous_solve(*data, K1, cfg)
+    detail = str(info.value)
+    assert "cfl" not in detail
+    found = re.search(r"; cell Peclet number \(max \|u\| \+ k\) dx / \(2 eps\) = (\S+)$", detail)
+    assert found and float(found[1]) == pytest.approx(peclet, rel=0.01), detail
 
 
 def _scaled(label: str, eps: float, t_end: float, nx: int, x_max: float, m: int):
