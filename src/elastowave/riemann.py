@@ -127,7 +127,9 @@ def sample_many(
             continue
         past = xi >= wave.xi_hi
         if wave.xi_lo < wave.xi_hi:  # else the open interior is empty
-            fan = (xi > wave.xi_lo) & ~past
+            # (xi > lo) & ~past: past implies xi > lo here, and a NaN fails both
+            fan = xi > wave.xi_lo
+            fan ^= past
             xf = xi[fan]
             if xf.size:
                 lam_a = wave.family.characteristic_speed(wave.left, p)

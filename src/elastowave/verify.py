@@ -6,7 +6,9 @@ nonconservative product, the entropy inequality, fan continuity, wave
 ordering, and a discrete weak-form audit of sampled solutions.  The
 four structure audits give one pass/fail verdict, :func:`audit`, and
 :func:`in_admissible_set` tests a boundary trace against the attainable
-set.
+set from :func:`classify`'s region and d2, building no wave.  Of the
+solver's ``riemann`` only :func:`sample_many` is used, by the weak-form
+audit.
 
 The nonconservative product u sigma_x is fixed across jumps by the
 arithmetic mean of u, which turns the jump conditions into
@@ -24,10 +26,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (ConfigError, Params, Rarefaction, Shock, State, WaveFamily, WaveStructure,
-                   _check_number)
-from .curves import DEFAULT_TOL, classification_scale
-from .riemann import sample_many, solve_riemann
+from .core import (ConfigError, Params, Rarefaction, Refusal, Shock, State, WaveFamily,
+                   WaveStructure, _check_number, _finite)
+from .curves import DEFAULT_TOL, RegionLabel, classification_scale, classify
+from .riemann import sample_many
 
 __all__ = [
     "rh_residual",
@@ -168,6 +170,20 @@ def audit(ws: WaveStructure, p: Params) -> tuple[dict, bool]:
     return summary, ok
 
 
+def _wave_end(family: WaveFamily, a: State, c: State, p: Params) -> tuple[bool, float]:
+    """(is a fan, end speed) of the ``family`` wave from ``a`` to ``c``,
+    with the refusals of Shock and Rarefaction: an edge or speed beyond
+    float64, equal shock flanks."""
+    offset = family.speed_offset(p)
+    if c.u > a.u:
+        _finite("xi_lo", a.u + offset)
+        return True, _finite("xi_hi", c.u + offset)
+    speed = _finite("speed", 0.5 * (a.u + c.u) + offset)
+    if a == c:
+        raise Refusal("out_of_range", "shock flanks must differ; zero-strength waves are absent")
+    return False, speed
+
+
 def in_admissible_set(boundary: State, candidate: State, p: Params) -> bool:
     """Whether ``candidate`` is an attainable boundary value for ``boundary``.
 
@@ -176,14 +192,27 @@ def in_admissible_set(boundary: State, candidate: State, p: Params) -> bool:
     its end speed (the k u gap of its clip state at xi = 0) is within the
     audit gate 1e-9 of :func:`classification_scale`.  A wave of positive
     speed excludes the candidate even when its jump is under that gate.
+    The last wave comes from :func:`classify`'s region and d2 without a
+    second solve: the 1-wave on a 1-curve, the 2-wave on a 2-curve, and in
+    a sector the 2-wave from the middle state, d2 / (2k) along the
+    boundary state's 1-line.  It refuses as the solve does, with the same
+    reason and message: a scale, middle state, edge or speed beyond
+    float64, or equal shock flanks, the sector's 1-wave included.
     """
-    waves = solve_riemann(boundary, candidate, p).waves
-    if not waves:
+    region, (_, d2) = classify(boundary, candidate, p)
+    if region is RegionLabel.COINCIDENT:
         return True
-    last = waves[-1]
-    if isinstance(last, Shock):
-        return last.speed <= 0.0
-    return p.k * last.xi_hi <= _AUDIT_TOL * classification_scale(boundary, candidate, p)
+    if region in (RegionLabel.ON_R1, RegionLabel.ON_S1):
+        fan, end = _wave_end(WaveFamily.ONE, boundary, candidate, p)
+    elif region in (RegionLabel.ON_R2, RegionLabel.ON_S2):
+        fan, end = _wave_end(WaveFamily.TWO, boundary, candidate, p)
+    else:
+        mid = State(boundary.u + d2 / (2.0 * p.k), boundary.sigma + 0.5 * d2)
+        _wave_end(WaveFamily.ONE, boundary, mid, p)  # for its refusals only
+        fan, end = _wave_end(WaveFamily.TWO, mid, candidate, p)
+    if not fan:
+        return end <= 0.0
+    return p.k * end <= _AUDIT_TOL * classification_scale(boundary, candidate, p)
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,6 +8,7 @@ from elastowave import (
     CaseLabel,
     Params,
     Rarefaction,
+    Shock,
     State,
     WaveFamily,
     classification_scale,
@@ -20,6 +21,8 @@ from elastowave import (
     solve_riemann,
     waves_ordered,
 )
+from elastowave.core import Refusal
+from elastowave.verify import _AUDIT_TOL
 from problems import (
     ALL_REGIONS,
     GOLDEN_CASES,
@@ -413,6 +416,71 @@ def test_trace_is_admissible_bulk():
         assert in_admissible_set(b, candidate, p) is expected, (b, candidate, p.k)
         seen[expected] += 1
     assert min(seen.values()) > 500, seen
+
+
+def _admissible_by_solve(b, c, p):
+    """The attainability test through a full solve: the sign test on the
+    last wave of solve_riemann(b, c, p), the rule in_admissible_set reads
+    from classify without building a structure."""
+    waves = solve_riemann(b, c, p).waves
+    if not waves:
+        return True
+    last = waves[-1]
+    if isinstance(last, Shock):
+        return last.speed <= 0.0
+    return p.k * last.xi_hi <= _AUDIT_TOL * classification_scale(b, c, p)
+
+
+def _outcome(test, b, c, p):
+    """The bool of ``test``, or the reason and message of its Refusal."""
+    try:
+        return test(b, c, p)
+    except Refusal as refusal:
+        return refusal.reason, str(refusal)
+
+
+def _closed_form_draws(rng):
+    """(boundary, candidate, params): random problems of each region with
+    the initial state and the trace as candidates, a grid of subnormal
+    states, and random states and k at magnitudes from 1e-320 to 1e308,
+    with k fixed or growing with them."""
+    for region in ALL_REGIONS:
+        for _ in range(40):
+            b, z, p = random_problem(rng, region)
+            yield b, z, p
+            yield b, solve_ibvp(b, z, p).trace, p
+    tiny = (0.0, 5e-324, -5e-324, 1e-323, -1e-323, 2e-323, 1e-320, -1e-320)
+    states = [State(u, s) for u in tiny for s in tiny]
+    for k in (1.0, 0.5, 2.0, 1e-300, 1e300):
+        yield from ((b, c, Params(k)) for b in states for c in states)
+    for e in range(-320, 309):
+        size = 10.0**e
+        for _ in range(4):
+            u_b, s_b, u_c, s_c = (float(v) * size for v in rng.uniform(-1.0, 1.0, 4))
+            b, c = State(u_b, s_b), State(u_c, s_c)
+            k = float(10.0 ** rng.uniform(-1.0, 1.0))
+            yield b, c, Params(k)
+            if 0.0 < k * size < np.inf:
+                yield b, c, Params(k * size)
+
+
+def test_closed_form_admissibility_matches_the_solve():
+    # the same bool, or the same refusal, as the sign test through a full
+    # solve, where the solve refuses for the 1-wave of a sector too
+    outcomes = {True: 0, False: 0, "refused": 0}
+    for b, c, p in _closed_form_draws(np.random.default_rng(61)):
+        expected = _outcome(_admissible_by_solve, b, c, p)
+        assert _outcome(in_admissible_set, b, c, p) == expected, (b, c, p.k)
+        outcomes[expected if isinstance(expected, bool) else "refused"] += 1
+    assert min(outcomes.values()) > 500, outcomes
+    # Gamma2, the last wave a finite 2-fan: the unused 1-shock's speed is -inf
+    b = State(-8.540049597245503e306, 9.795285583992536e306)
+    c = State(1.143917797183005e306, -5.798863035080544e306)
+    with pytest.raises(Refusal, match="speed must be finite"):
+        in_admissible_set(b, c, Params(0.044839168343989336))
+    # Gamma1: the middle state rounds to b, so the 1-wave has equal flanks
+    with pytest.raises(Refusal, match="shock flanks must differ"):
+        in_admissible_set(State(0.0, 0.0), State(5e-324, 0.0), K1)
 
 
 @pytest.mark.parametrize("offset", [False, True], ids=["b-zero", "b-offset"])

@@ -177,6 +177,21 @@ def test_solver_and_oracles_import_only_the_solver(path):
     assert not outside, f"{path.name} imports {outside}, outside the solver {sorted(_SOLVER)}"
 
 
+def test_verify_takes_only_the_sampler_from_riemann():
+    # the oracle checks do not re-run the solve they check: of riemann,
+    # verify samples a structure it is given, and builds none itself
+    tree = _tree(ROOT / "src" / "elastowave" / "verify.py")
+    taken = sorted(
+        alias.name if node.module else "riemann"  # `from . import riemann` takes it all
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if node.module in ("riemann", "elastowave.riemann")
+        or (node.module is None and alias.name == "riemann")
+    )
+    assert taken == ["sample_many"], f"verify.py imports {taken} from riemann"
+
+
 def test_front_end_applies_no_tolerance():
     # the audits' gate and tolerances live in verify.audit; the front end
     # only reports its verdict
